@@ -9,22 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 DEFAULT_SEED = 1234
-_CURVE_POINTS = 1001
-
-
-def _plot_grid() -> np.ndarray:
-    return np.linspace(0.0, 2.0 * math.pi, _CURVE_POINTS)
-
-
-def _dump(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _load_poly(path: str):
@@ -61,10 +51,9 @@ def _add_setup_flags(parser, required: bool = True) -> None:
 
 
 def cmd_infer(args) -> int:
-    from .experiments import resolve_shots
+    from .experiments import dump_json, resolve_shots, write_plot_csv
     from .inference import infer_response
     from .sim import setup_to_json
-    from .trig import write_curve_csv
 
     setup = _build_setup(args)
     shots = resolve_shots(args.shots, args.n)
@@ -74,9 +63,8 @@ def cmd_infer(args) -> int:
     doc = result.to_json_dict()
     doc["setup"] = setup_to_json(setup)
     doc["seed"] = args.seed
-    _dump(out / "inference.json", doc)
-    grid = _plot_grid()
-    write_curve_csv(out / "response_curve.csv", grid, result.poly.evaluate(grid))
+    dump_json(out / "inference.json", doc)
+    write_plot_csv(out / "response_curve.csv", result.poly)
     return 0
 
 
@@ -95,12 +83,13 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    from .trig import write_curve_csv
+    from .experiments import dump_json
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.poly:
         from .inference import sensitivity_curve
+        from .trig import write_curve_csv
 
         if args.lo is None or args.hi is None:
             raise ValueError("--poly mode needs an explicit --lo/--hi range")
@@ -113,10 +102,10 @@ def cmd_sensitivity(args) -> int:
             np.column_stack([delta_sq, divergent.astype(float)]),
             header=("theta", "delta_theta_sq", "divergent"),
         )
-        _dump(out / "sensitivity.json", {"points": args.points, "source": "poly"})
+        dump_json(out / "sensitivity.json", {"points": args.points, "source": "poly"})
         return 0
 
-    from .experiments import resolve_shots
+    from .experiments import resolve_shots, write_sensitivity_csv
     from .inference import sensitivity_error_check
 
     setup = _build_setup(args)
@@ -125,19 +114,8 @@ def cmd_sensitivity(args) -> int:
     report = sensitivity_error_check(
         setup, theta_range=rng, shots=shots, seed=args.seed, points=args.points
     )
-    write_curve_csv(
-        out / "sensitivity.csv",
-        report.thetas,
-        np.column_stack(
-            [
-                report.exact_delta**2,
-                report.inferred_delta**2,
-                (~np.isfinite(report.exact_delta) | ~np.isfinite(report.inferred_delta)).astype(float),
-            ]
-        ),
-        header=("theta", "exact_delta_sq", "inferred_delta_sq", "divergent"),
-    )
-    _dump(
+    write_sensitivity_csv(out / "sensitivity.csv", report)
+    dump_json(
         out / "sensitivity.json",
         {
             "epsilon": report.epsilon,
@@ -179,6 +157,7 @@ def cmd_study(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .experiments import dump_json
     from .trig import write_curve_csv
     from .variational import TrainableMeasurement, train_measurement
 
@@ -186,7 +165,7 @@ def cmd_train(args) -> int:
     trace = train_measurement(measurement, epochs=args.epochs, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _dump(out / "trace.json", trace.to_json_dict())
+    dump_json(out / "trace.json", trace.to_json_dict())
     write_curve_csv(
         out / "loss_curve.csv",
         np.arange(len(trace.losses), dtype=float),

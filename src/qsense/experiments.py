@@ -1,9 +1,10 @@
 """Batch studies over system size: inference-error scaling, parameter
 prediction against the cosine-fit baseline, and sensitivity reconstruction.
 
-Each study takes an ExperimentConfig, fans independent (n, repeat) jobs out
-over the worker pool, merges results in a fixed order and persists three
-artifacts under the output directory: ``config.json`` (the config echo),
+``run_study`` runs every study through one loop over system sizes.  At
+each n the study fans its independent repeats out over the worker pool and
+merges the results in a fixed order; the loop persists three artifacts
+under the output directory: ``config.json`` (the config echo),
 ``summary.json`` (one record per system size) and per-trial / per-curve
 CSV files.  Everything except the recorded runtimes is bit-reproducible
 from (config, base_seed).
@@ -21,6 +22,7 @@ import numpy as np
 
 from ._workers import parallel_map
 from .inference import (
+    SensitivityErrorReport,
     cosine_fit,
     estimate_parameter,
     infer_response,
@@ -37,7 +39,7 @@ from .sim import (
     exact_response,
     sample_response,
 )
-from .trig import write_curve_csv
+from .trig import TrigPoly, write_curve_csv
 
 SETUP_KINDS = ("ghz", "squeezing", "random")
 
@@ -70,8 +72,11 @@ class ExperimentConfig:
         values = tuple(int(n) for n in self.n_values)
         if not values:
             raise ValueError("n_values must be nonempty")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        for name in ("repeats", "test_points", "prediction_fields"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0.0 <= self.noise <= 1.0:
+            raise ValueError(f"noise probability {self.noise} outside [0, 1]")
         cap = 8 if self.noise > 0 else 12
         if max(values) > cap:
             path = "noisy (density-matrix)" if self.noise > 0 else "statevector"
@@ -92,32 +97,45 @@ class ExperimentConfig:
         return cls(**{k: v for k, v in doc.items() if k in known})
 
 
+# asdict of a record is its summary.json entry, so field order is key order.
 @dataclass(frozen=True)
-class ScalingRecord:
-    """Per-system-size aggregate of a study; unused fields stay None."""
+class InferenceRecord:
+    """Per-system-size aggregate of the inference study."""
 
     n: int
     runtime_seconds: float
-    median_error: float | None = None
-    max_error: float | None = None
-    bound_value: float | None = None
-    all_trials_within_bound: bool | None = None
-    median_prediction_error: float | None = None
-    upper_quartile_prediction_error: float | None = None
-    median_prediction_error_baseline: float | None = None
-    upper_quartile_prediction_error_baseline: float | None = None
-    worst_case_prediction_error: float | None = None
-    median_relative_sensitivity_error: float | None = None
-    max_relative_sensitivity_error: float | None = None
-    bound_holds_all_trials: bool | None = None
+    median_error: float
+    max_error: float
+    bound_value: float
+    all_trials_within_bound: bool
 
     def __post_init__(self) -> None:
-        if self.median_error is not None and self.max_error is not None:
-            if self.median_error > self.max_error + 1e-15:
-                raise ValueError("median error cannot exceed max error")
+        if self.median_error > self.max_error + 1e-15:
+            raise ValueError("median error cannot exceed max error")
 
-    def to_json_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+
+@dataclass(frozen=True)
+class PredictionRecord:
+    """Per-system-size aggregate of the prediction study."""
+
+    n: int
+    runtime_seconds: float
+    median_prediction_error: float
+    upper_quartile_prediction_error: float
+    median_prediction_error_baseline: float
+    upper_quartile_prediction_error_baseline: float
+    worst_case_prediction_error: float
+
+
+@dataclass(frozen=True)
+class SensitivityRecord:
+    """Per-system-size aggregate of the sensitivity study."""
+
+    n: int
+    runtime_seconds: float
+    median_relative_sensitivity_error: float
+    max_relative_sensitivity_error: float
+    bound_holds_all_trials: bool
 
 
 def resolve_shots(policy: str, n: int) -> int | None:
@@ -160,18 +178,11 @@ def _trial_seed(base: int, n: int, repeat: int, salt: int = 0) -> int:
     return int(np.random.default_rng([base, n, repeat, salt]).integers(2**31))
 
 
-def _prepare_out_dir(config: ExperimentConfig) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_json(out / "config.json", config.to_json_dict())
-    return out
-
-
-def _dump_json(path: Path, doc) -> None:
+def dump_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _write_trials_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_trials_csv(path: Path, header: tuple[str, ...], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
@@ -181,220 +192,173 @@ def _write_trials_csv(path: Path, header: list[str], rows: list[list]) -> None:
 _PLOT_GRID = np.linspace(0.0, 2.0 * math.pi, 1001)
 
 
-def run_inference_study(config: ExperimentConfig) -> list[ScalingRecord]:
-    """Infer the response for each (n, repeat), score |R - R~| on random test
+def write_plot_csv(path: Path, poly: TrigPoly) -> None:
+    """The curve of ``poly`` on 1001 equally spaced angles over [0, 2 pi]."""
+    write_curve_csv(path, _PLOT_GRID, poly.evaluate(_PLOT_GRID))
+
+
+def write_sensitivity_csv(path: Path, report: SensitivityErrorReport) -> None:
+    """Exact and inferred (delta theta)^2 per angle plus a divergence flag."""
+    divergent = ~np.isfinite(report.exact_delta) | ~np.isfinite(report.inferred_delta)
+    columns = [report.exact_delta**2, report.inferred_delta**2, divergent.astype(float)]
+    write_curve_csv(
+        path,
+        report.thetas,
+        np.column_stack(columns),
+        header=("theta", "exact_delta_sq", "inferred_delta_sq", "divergent"),
+    )
+
+
+def _inference_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_n: int | None):
+    """Infer the response for each repeat, score |R - R~| on random test
     angles against the simulator and bound it by 5 eps ln(degree)."""
-    out = _prepare_out_dir(config)
-    records: list[ScalingRecord] = []
-    trial_rows: list[list] = []
-    for n in config.n_values:
-        start = time.perf_counter()
-        setup = make_setup(config, n)
-        shots_n = resolve_shots(config.shots, n)
-        exact_poly = response_polynomial(setup)
-        grid = np.random.default_rng([config.base_seed, n, 101]).uniform(
-            0.0, 2.0 * math.pi, config.test_points
-        )
-        truth = np.array([exact_response(setup, t) for t in grid])
-
-        def trial(repeat: int):
-            res = infer_response(
-                setup, shots=shots_n, seed=_trial_seed(config.base_seed, n, repeat)
-            )
-            err = np.abs(res.poly.evaluate(grid) - truth)
-            node_truth = exact_poly.evaluate(res.samples.nodes.angles)
-            eps_true = float(np.abs(res.samples.values - node_truth).max())
-            bound = 5.0 * eps_true * math.log(max(res.poly.degree, 2))
-            return (
-                float(np.median(err)),
-                float(err.max()),
-                eps_true,
-                bound,
-                res,
-            )
-
-        trials = parallel_map(trial, range(config.repeats))
-        for repeat, (med, worst, eps, bound, _) in enumerate(trials):
-            trial_rows.append([n, repeat, med, worst, eps, bound])
-        meds = [t[0] for t in trials]
-        records.append(
-            ScalingRecord(
-                n=n,
-                runtime_seconds=time.perf_counter() - start,
-                median_error=float(np.median(meds)),
-                max_error=float(max(t[1] for t in trials)),
-                bound_value=float(np.median([t[3] for t in trials])),
-                # +1e-8 absorbs float round-off in the exact-expectation mode,
-                # where both the errors and the bound sit at machine scale
-                all_trials_within_bound=bool(all(t[1] <= t[3] + 1e-8 for t in trials)),
-            )
-        )
-        write_curve_csv(
-            out / f"curves_{config.kind}_{n}.csv",
-            _PLOT_GRID,
-            trials[0][4].poly.evaluate(_PLOT_GRID),
-        )
-    _write_trials_csv(
-        out / f"trials_inference_{config.kind}.csv",
-        ["n", "repeat", "median_error", "max_error", "epsilon", "bound_value"],
-        trial_rows,
+    exact_poly = response_polynomial(setup)
+    grid = np.random.default_rng([config.base_seed, n, 101]).uniform(
+        0.0, 2.0 * math.pi, config.test_points
     )
-    _dump_json(
-        out / "summary.json",
-        {"study": "inference", "kind": config.kind, "records": [r.to_json_dict() for r in records]},
+    truth = np.array([exact_response(setup, t) for t in grid])
+
+    def trial(repeat: int):
+        res = infer_response(
+            setup, shots=shots_n, seed=_trial_seed(config.base_seed, n, repeat)
+        )
+        err = np.abs(res.poly.evaluate(grid) - truth)
+        node_truth = exact_poly.evaluate(res.samples.nodes.angles)
+        eps_true = float(np.abs(res.samples.values - node_truth).max())
+        bound = 5.0 * eps_true * math.log(max(res.poly.degree, 2))
+        return [n, repeat, float(np.median(err)), float(err.max()), eps_true, bound], res.poly
+
+    trials = parallel_map(trial, range(config.repeats))
+    rows = [row for row, _ in trials]
+    _, _, medians, worsts, _, bounds = zip(*rows)
+    fields = dict(
+        median_error=float(np.median(medians)),
+        max_error=float(max(worsts)),
+        bound_value=float(np.median(bounds)),
+        # +1e-8 absorbs float round-off in the exact-expectation mode,
+        # where both the errors and the bound sit at machine scale
+        all_trials_within_bound=bool(all(w <= b + 1e-8 for w, b in zip(worsts, bounds))),
     )
-    return records
+    return rows, fields, trials[0][1]
 
 
-def run_prediction_study(config: ExperimentConfig) -> list[ScalingRecord]:
+def _prediction_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_n: int | None):
     """Estimate random fields from measured responses via the inferred
     polynomial and via the cosine-fit baseline, over windows theta' +/-
     pi/(10 n); the window width is also the worst possible error."""
-    if config.kind != "ghz":
-        raise ValueError("the prediction study is defined for the ghz kind")
-    out = _prepare_out_dir(config)
-    records: list[ScalingRecord] = []
+    window = math.pi / (10.0 * n)
+
+    def trial(repeat: int):
+        curve_shots = None if config.exact_curves else shots_n
+        res = infer_response(
+            setup, shots=curve_shots, seed=_trial_seed(config.base_seed, n, repeat)
+        )
+        fit = cosine_fit(res.samples)
+        rng = np.random.default_rng([config.base_seed, n, repeat, 55])
+        rows = []
+        for field in range(config.prediction_fields):
+            theta_true = float(rng.uniform(0.0, 2.0 * math.pi))
+            if shots_n is None:
+                measured = exact_response(setup, theta_true)
+            else:
+                measured = sample_response(
+                    setup,
+                    theta_true,
+                    shots_n,
+                    seed=[config.base_seed, n, repeat, 1000 + field],
+                ).mean
+            domain = (theta_true - window, theta_true + window)
+            est_inf = estimate_parameter(res.poly, measured, domain)
+            est_fit = estimate_parameter(fit, measured, domain)
+            rows.append([n, repeat, theta_true, est_inf.theta_star, est_fit.theta_star])
+        return rows, res.poly
+
+    trials = parallel_map(trial, range(config.repeats))
+    rows = [row for repeat_rows, _ in trials for row in repeat_rows]
+    err_inf = [abs(t_inf - theta_true) for _, _, theta_true, t_inf, _ in rows]
+    err_fit = [abs(t_fit - theta_true) for _, _, theta_true, _, t_fit in rows]
+    fields = dict(
+        median_prediction_error=float(np.median(err_inf)),
+        upper_quartile_prediction_error=float(np.quantile(err_inf, 0.75)),
+        median_prediction_error_baseline=float(np.median(err_fit)),
+        upper_quartile_prediction_error_baseline=float(np.quantile(err_fit, 0.75)),
+        worst_case_prediction_error=window,
+    )
+    return rows, fields, trials[0][1]
+
+
+def _sensitivity_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_n: int | None):
+    """Reconstruct sensitivity curves from inferred responses and score the
+    exact-vs-inferred error against the slope-normalized bound."""
+
+    def trial(repeat: int):
+        rep = sensitivity_error_check(
+            setup, shots=shots_n, seed=_trial_seed(config.base_seed, n, repeat)
+        )
+        row = [n, repeat, rep.median_relative_error, rep.max_relative_error,
+               rep.epsilon, rep.bound_value, int(rep.holds)]
+        return row, rep
+
+    trials = parallel_map(trial, range(config.repeats))
+    rows = [row for row, _ in trials]
+    _, _, medians, worsts, _, _, holds = zip(*rows)
+    fields = dict(
+        median_relative_sensitivity_error=float(np.median(medians)),
+        max_relative_sensitivity_error=float(max(worsts)),
+        bound_holds_all_trials=bool(all(holds)),
+    )
+    return rows, fields, trials[0][1]
+
+
+# name -> (allowed kinds, per-n function, record, trials CSV, its header,
+# curve CSV, curve writer); file names are formatted with the kind and n.
+# The per-n function runs every repeat at one system size and returns its
+# trial rows, its record fields and the curve of the first repeat.
+STUDIES = {
+    "inference": (
+        SETUP_KINDS, _inference_at, InferenceRecord, "trials_inference_{kind}.csv",
+        ("n", "repeat", "median_error", "max_error", "epsilon", "bound_value"),
+        "curves_{kind}_{n}.csv", write_plot_csv,
+    ),
+    "prediction": (
+        ("ghz",), _prediction_at, PredictionRecord, "predictions_{kind}.csv",
+        ("n", "repeat", "theta_true", "theta_inferred", "theta_fit"),
+        "curves_{kind}_{n}.csv", write_plot_csv,
+    ),
+    "sensitivity": (
+        ("ghz", "squeezing"), _sensitivity_at, SensitivityRecord,
+        "trials_sensitivity_{kind}.csv",
+        ("n", "repeat", "median_relative_error", "max_relative_error",
+         "epsilon", "bound_value", "holds"),
+        "sensitivity_{kind}_{n}.csv", write_sensitivity_csv,
+    ),
+}
+
+
+def run_study(name: str, config: ExperimentConfig) -> list:
+    """Run study ``name`` over ``config.n_values``, write its artifacts and
+    return one record per system size."""
+    try:
+        kinds, per_n, record, trials_csv, header, curve_csv, write_curve = STUDIES[name]
+    except KeyError:
+        raise ValueError(f"unknown study {name!r}; choose from {sorted(STUDIES)}") from None
+    if config.kind not in kinds:
+        raise ValueError(f"the {name} study is defined for the {' or '.join(kinds)} kind")
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    dump_json(out / "config.json", config.to_json_dict())
+    records = []
     rows: list[list] = []
     for n in config.n_values:
         start = time.perf_counter()
         setup = make_setup(config, n)
-        shots_n = resolve_shots(config.shots, n)
-        window = math.pi / (10.0 * n)
-
-        def trial(repeat: int):
-            curve_shots = None if config.exact_curves else shots_n
-            res = infer_response(
-                setup, shots=curve_shots, seed=_trial_seed(config.base_seed, n, repeat)
-            )
-            fit = cosine_fit(res.samples)
-            rng = np.random.default_rng([config.base_seed, n, repeat, 55])
-            results = []
-            for field in range(config.prediction_fields):
-                theta_true = float(rng.uniform(0.0, 2.0 * math.pi))
-                if shots_n is None:
-                    measured = exact_response(setup, theta_true)
-                else:
-                    measured = sample_response(
-                        setup,
-                        theta_true,
-                        shots_n,
-                        seed=[config.base_seed, n, repeat, 1000 + field],
-                    ).mean
-                domain = (theta_true - window, theta_true + window)
-                est_inf = estimate_parameter(res.poly, measured, domain)
-                est_fit = estimate_parameter(fit, measured, domain)
-                results.append((theta_true, est_inf.theta_star, est_fit.theta_star))
-            return res, results
-
-        trials = parallel_map(trial, range(config.repeats))
-        err_inf: list[float] = []
-        err_fit: list[float] = []
-        for repeat, (_, results) in enumerate(trials):
-            for theta_true, t_inf, t_fit in results:
-                rows.append([n, repeat, theta_true, t_inf, t_fit])
-                err_inf.append(abs(t_inf - theta_true))
-                err_fit.append(abs(t_fit - theta_true))
-        records.append(
-            ScalingRecord(
-                n=n,
-                runtime_seconds=time.perf_counter() - start,
-                median_prediction_error=float(np.median(err_inf)),
-                upper_quartile_prediction_error=float(np.quantile(err_inf, 0.75)),
-                median_prediction_error_baseline=float(np.median(err_fit)),
-                upper_quartile_prediction_error_baseline=float(np.quantile(err_fit, 0.75)),
-                worst_case_prediction_error=window,
-            )
-        )
-        write_curve_csv(
-            out / f"curves_{config.kind}_{n}.csv",
-            _PLOT_GRID,
-            trials[0][0].poly.evaluate(_PLOT_GRID),
-        )
-    _write_trials_csv(
-        out / f"predictions_{config.kind}.csv",
-        ["n", "repeat", "theta_true", "theta_inferred", "theta_fit"],
-        rows,
-    )
-    _dump_json(
+        n_rows, fields, curve = per_n(config, setup, n, resolve_shots(config.shots, n))
+        rows += n_rows
+        write_curve(out / curve_csv.format(kind=config.kind, n=n), curve)
+        records.append(record(n=n, runtime_seconds=time.perf_counter() - start, **fields))
+    _write_trials_csv(out / trials_csv.format(kind=config.kind), header, rows)
+    dump_json(
         out / "summary.json",
-        {"study": "prediction", "kind": config.kind, "records": [r.to_json_dict() for r in records]},
+        {"study": name, "kind": config.kind, "records": [asdict(r) for r in records]},
     )
     return records
-
-
-def run_sensitivity_study(config: ExperimentConfig) -> list[ScalingRecord]:
-    """Reconstruct sensitivity curves from inferred responses and score the
-    exact-vs-inferred error against the slope-normalized bound."""
-    if config.kind not in ("ghz", "squeezing"):
-        raise ValueError("the sensitivity study is defined for ghz or squeezing kinds")
-    out = _prepare_out_dir(config)
-    records: list[ScalingRecord] = []
-    trial_rows: list[list] = []
-    for n in config.n_values:
-        start = time.perf_counter()
-        setup = make_setup(config, n)
-        shots_n = resolve_shots(config.shots, n)
-
-        def trial(repeat: int):
-            return sensitivity_error_check(
-                setup, shots=shots_n, seed=_trial_seed(config.base_seed, n, repeat)
-            )
-
-        reports = parallel_map(trial, range(config.repeats))
-        for repeat, rep in enumerate(reports):
-            trial_rows.append(
-                [n, repeat, rep.median_relative_error, rep.max_relative_error,
-                 rep.epsilon, rep.bound_value, int(rep.holds)]
-            )
-        first = reports[0]
-        write_curve_csv(
-            out / f"sensitivity_{config.kind}_{n}.csv",
-            first.thetas,
-            np.column_stack(
-                [
-                    first.exact_delta**2,
-                    first.inferred_delta**2,
-                    (~np.isfinite(first.inferred_delta) | ~np.isfinite(first.exact_delta)).astype(float),
-                ]
-            ),
-            header=("theta", "exact_delta_sq", "inferred_delta_sq", "divergent"),
-        )
-        records.append(
-            ScalingRecord(
-                n=n,
-                runtime_seconds=time.perf_counter() - start,
-                median_relative_sensitivity_error=float(
-                    np.median([r.median_relative_error for r in reports])
-                ),
-                max_relative_sensitivity_error=float(
-                    max(r.max_relative_error for r in reports)
-                ),
-                bound_holds_all_trials=bool(all(r.holds for r in reports)),
-            )
-        )
-    _write_trials_csv(
-        out / f"trials_sensitivity_{config.kind}.csv",
-        ["n", "repeat", "median_relative_error", "max_relative_error",
-         "epsilon", "bound_value", "holds"],
-        trial_rows,
-    )
-    _dump_json(
-        out / "summary.json",
-        {"study": "sensitivity", "kind": config.kind, "records": [r.to_json_dict() for r in records]},
-    )
-    return records
-
-
-STUDIES = {
-    "inference": run_inference_study,
-    "prediction": run_prediction_study,
-    "sensitivity": run_sensitivity_study,
-}
-
-
-def run_study(name: str, config: ExperimentConfig) -> list[ScalingRecord]:
-    try:
-        fn = STUDIES[name]
-    except KeyError:
-        raise ValueError(f"unknown study {name!r}; choose from {sorted(STUDIES)}") from None
-    return fn(config)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._workers import parallel_map
 from .sim.setups import (
     SensingSetup,
     exact_response,
@@ -183,15 +182,15 @@ def infer_response(
 
     ``degree`` defaults to the encoding term count, which always suffices.
     ``shots=None`` means exact expectations (no sampling).  Each node draws
-    from its own RNG seeded by (seed, node index), so the nodes can be
-    sampled concurrently without changing the result.
+    from its own RNG seeded by (seed, node index), so a node's samples do
+    not depend on the other nodes.
     """
     d = setup.encoding_degree if degree is None else int(degree)
     if d < 1:
         raise ValueError("degree must be >= 1")
     nodes = equidistant_nodes(d)
     if shots is None:
-        values = parallel_map(lambda th: exact_response(setup, th), nodes.angles)
+        values = [exact_response(setup, th) for th in nodes.angles]
         samples = SampleVector(
             nodes, np.asarray(values), None, np.zeros(len(nodes))
         )
@@ -199,12 +198,10 @@ def infer_response(
     else:
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        estimates = parallel_map(
-            lambda item: sample_response(
-                setup, item[1], shots, seed=[int(seed), int(item[0])]
-            ),
-            list(enumerate(nodes.angles)),
-        )
+        estimates = [
+            sample_response(setup, th, shots, seed=[int(seed), k])
+            for k, th in enumerate(nodes.angles)
+        ]
         samples = SampleVector(
             nodes,
             np.array([e.mean for e in estimates]),

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from qsense.experiments import ExperimentConfig, run_prediction_study
+from qsense.experiments import ExperimentConfig, run_study
 from qsense.inference import (
     infer_response,
     polylog_shot_schedule,
@@ -190,7 +190,7 @@ def test_criterion_07_prediction_vs_cosine_fit(tmp_path):
         prediction_fields=30,
         exact_curves=True,
     )
-    records = run_prediction_study(config)
+    records = run_study("prediction", config)
     rows = np.genfromtxt(tmp_path / "prediction" / "predictions_ghz.csv", delimiter=",", names=True)
     fit_within_window = True
     for row in rows:

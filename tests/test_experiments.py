@@ -6,12 +6,9 @@ import pytest
 
 from qsense.experiments import (
     ExperimentConfig,
-    ScalingRecord,
+    InferenceRecord,
     make_setup,
     resolve_shots,
-    run_inference_study,
-    run_prediction_study,
-    run_sensitivity_study,
     run_study,
 )
 from qsense.inference import polylog_shot_schedule, shot_budget
@@ -45,11 +42,21 @@ def test_config_validation_and_round_trip():
         ExperimentConfig(kind="ghz", n_values=(13,))  # statevector study cap
     with pytest.raises(ValueError):
         ExperimentConfig(kind="ghz", n_values=(9,), noise=0.01)  # noisy study cap
+    with pytest.raises(ValueError, match="test_points"):
+        ExperimentConfig(kind="ghz", n_values=(2,), test_points=0)
+    with pytest.raises(ValueError, match="prediction_fields"):
+        ExperimentConfig(kind="ghz", n_values=(2,), prediction_fields=0)
+    for noise in (math.nan, -0.1, 1.5):
+        with pytest.raises(ValueError, match="noise"):
+            ExperimentConfig(kind="ghz", n_values=(2,), noise=noise)
 
 
-def test_scaling_record_median_le_max():
+def test_inference_record_median_le_max():
     with pytest.raises(ValueError):
-        ScalingRecord(n=2, runtime_seconds=0.0, median_error=2.0, max_error=1.0)
+        InferenceRecord(
+            n=2, runtime_seconds=0.0, median_error=2.0, max_error=1.0,
+            bound_value=0.0, all_trials_within_bound=True,
+        )
 
 
 def test_make_setup_kinds():
@@ -64,7 +71,7 @@ def test_inference_study_exact_is_machine_precise(tmp_path):
         kind="ghz", n_values=(2, 3, 4), shots="exact", repeats=2,
         out_dir=str(tmp_path / "out"), test_points=500,
     )
-    records = run_inference_study(config)
+    records = run_study("inference", config)
     assert [r.n for r in records] == [2, 3, 4]
     for record in records:
         assert record.max_error < 1e-8
@@ -83,7 +90,7 @@ def test_inference_study_reproducible_and_worker_invariant(tmp_path, monkeypatch
             kind="random", n_values=(4,), shots="500", repeats=2,
             base_seed=9, out_dir=str(out_dir), test_points=200,
         )
-        run_inference_study(config)
+        run_study("inference", config)
 
     run(tmp_path / "a")
     monkeypatch.setenv("QSENSE_WORKERS", "3")
@@ -104,7 +111,7 @@ def test_inference_study_csv_round_trip(tmp_path):
         kind="ghz", n_values=(2, 3), shots="2000", repeats=3,
         base_seed=1, out_dir=str(tmp_path), test_points=300,
     )
-    records = run_inference_study(config)
+    records = run_study("inference", config)
     rows = np.genfromtxt(tmp_path / "trials_inference_ghz.csv", delimiter=",", names=True)
     for record in records:
         mask = rows["n"] == record.n
@@ -118,7 +125,7 @@ def test_prediction_study_exact_mode(tmp_path):
         kind="ghz", n_values=(2, 3), shots="exact", repeats=1,
         out_dir=str(tmp_path), prediction_fields=10,
     )
-    records = run_prediction_study(config)
+    records = run_study("prediction", config)
     for record in records:
         assert record.median_prediction_error < 1e-7
         assert record.upper_quartile_prediction_error < 1e-7
@@ -134,7 +141,8 @@ def test_prediction_study_exact_mode(tmp_path):
 def test_prediction_study_rejects_non_ghz(tmp_path):
     config = ExperimentConfig(kind="squeezing", n_values=(2,), out_dir=str(tmp_path))
     with pytest.raises(ValueError):
-        run_prediction_study(config)
+        run_study("prediction", config)
+    assert not any(tmp_path.iterdir())  # rejected before any file is written
 
 
 def test_prediction_study_noisy_with_exact_curves(tmp_path):
@@ -142,7 +150,7 @@ def test_prediction_study_noisy_with_exact_curves(tmp_path):
         kind="ghz", n_values=(2, 3), noise=0.02, shots="2000", repeats=1,
         base_seed=3, out_dir=str(tmp_path), prediction_fields=12, exact_curves=True,
     )
-    records = run_prediction_study(config)
+    records = run_study("prediction", config)
     for record in records:
         assert record.median_prediction_error <= record.median_prediction_error_baseline + 1e-9
         assert record.median_prediction_error <= record.worst_case_prediction_error + 1e-9
@@ -152,7 +160,7 @@ def test_sensitivity_study_ghz_exact(tmp_path):
     config = ExperimentConfig(
         kind="ghz", n_values=(4,), shots="exact", repeats=2, out_dir=str(tmp_path)
     )
-    records = run_sensitivity_study(config)
+    records = run_study("sensitivity", config)
     record = records[0]
     assert record.bound_holds_all_trials
     assert record.median_relative_sensitivity_error < 1e-8
@@ -168,7 +176,7 @@ def test_sensitivity_study_squeezing_with_shots(tmp_path):
         kind="squeezing", n_values=(4,), shots="polylog", repeats=3,
         base_seed=2, out_dir=str(tmp_path),
     )
-    records = run_sensitivity_study(config)
+    records = run_study("sensitivity", config)
     record = records[0]
     assert record.bound_holds_all_trials
     assert math.isfinite(record.median_relative_sensitivity_error)
@@ -185,6 +193,53 @@ def test_sensitivity_curve_flags_vanishing_gradient():
     delta_sq, divergent = sensitivity_curve(poly, grid)
     assert divergent.any()
     assert np.isinf(delta_sq[divergent]).all()
+
+
+@pytest.mark.parametrize(
+    "study, kind, trials, curves, keys, header",
+    [
+        (
+            "inference", "squeezing", "trials_inference_squeezing.csv",
+            ("curves_squeezing_2.csv", "curves_squeezing_3.csv"),
+            ["n", "runtime_seconds", "median_error", "max_error", "bound_value",
+             "all_trials_within_bound"],
+            "n,repeat,median_error,max_error,epsilon,bound_value",
+        ),
+        (
+            "prediction", "ghz", "predictions_ghz.csv",
+            ("curves_ghz_2.csv", "curves_ghz_3.csv"),
+            ["n", "runtime_seconds", "median_prediction_error",
+             "upper_quartile_prediction_error", "median_prediction_error_baseline",
+             "upper_quartile_prediction_error_baseline", "worst_case_prediction_error"],
+            "n,repeat,theta_true,theta_inferred,theta_fit",
+        ),
+        (
+            "sensitivity", "ghz", "trials_sensitivity_ghz.csv",
+            ("sensitivity_ghz_2.csv", "sensitivity_ghz_3.csv"),
+            ["n", "runtime_seconds", "median_relative_sensitivity_error",
+             "max_relative_sensitivity_error", "bound_holds_all_trials"],
+            "n,repeat,median_relative_error,max_relative_error,epsilon,bound_value,holds",
+        ),
+    ],
+)
+def test_study_output_structure(tmp_path, study, kind, trials, curves, keys, header):
+    config = ExperimentConfig(
+        kind=kind, n_values=(2, 3), shots="exact", repeats=2,
+        out_dir=str(tmp_path), test_points=50, prediction_fields=3,
+    )
+    run_study(study, config)
+    written = {p.name for p in tmp_path.iterdir()}
+    assert written == {"config.json", "summary.json", trials, *curves}
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert list(summary) == ["study", "kind", "records"]
+    assert (summary["study"], summary["kind"]) == (study, kind)
+    assert [record["n"] for record in summary["records"]] == [2, 3]
+    for record in summary["records"]:
+        assert list(record) == keys
+    lines = (tmp_path / trials).read_text().splitlines()
+    assert lines[0] == header
+    per_repeat = config.prediction_fields if study == "prediction" else 1
+    assert len(lines) == 1 + len(config.n_values) * config.repeats * per_repeat
 
 
 def test_run_study_dispatch(tmp_path):
