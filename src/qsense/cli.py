@@ -85,6 +85,8 @@ def cmd_estimate(args) -> int:
 def cmd_sensitivity(args) -> int:
     from .experiments import dump_json
 
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.poly:

@@ -216,7 +216,7 @@ def _inference_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_n
     grid = np.random.default_rng([config.base_seed, n, 101]).uniform(
         0.0, 2.0 * math.pi, config.test_points
     )
-    truth = np.array([exact_response(setup, t) for t in grid])
+    truth = exact_response(setup, grid)
 
     def trial(repeat: int):
         res = infer_response(
@@ -255,18 +255,17 @@ def _prediction_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_
         )
         fit = cosine_fit(res.samples)
         rng = np.random.default_rng([config.base_seed, n, repeat, 55])
+        thetas = rng.uniform(0.0, 2.0 * math.pi, config.prediction_fields)
+        if shots_n is None:
+            values = exact_response(setup, thetas)
+        else:
+            seeds = [
+                [config.base_seed, n, repeat, 1000 + field]
+                for field in range(config.prediction_fields)
+            ]
+            values = [e.mean for e in sample_response(setup, thetas, shots_n, seed=seeds)]
         rows = []
-        for field in range(config.prediction_fields):
-            theta_true = float(rng.uniform(0.0, 2.0 * math.pi))
-            if shots_n is None:
-                measured = exact_response(setup, theta_true)
-            else:
-                measured = sample_response(
-                    setup,
-                    theta_true,
-                    shots_n,
-                    seed=[config.base_seed, n, repeat, 1000 + field],
-                ).mean
+        for theta_true, measured in zip(thetas.tolist(), values):
             domain = (theta_true - window, theta_true + window)
             est_inf = estimate_parameter(res.poly, measured, domain)
             est_fit = estimate_parameter(fit, measured, domain)

@@ -181,27 +181,24 @@ def infer_response(
     """Measure the response at equidistant nodes and interpolate.
 
     ``degree`` defaults to the encoding term count, which always suffices.
-    ``shots=None`` means exact expectations (no sampling).  Each node draws
-    from its own RNG seeded by (seed, node index), so a node's samples do
-    not depend on the other nodes.
+    ``shots=None`` means exact expectations (no sampling).  All nodes go
+    through one simulator call, which prepares the probe once.  Each node
+    draws from its own RNG seeded by (seed, node index), so a node's
+    samples do not depend on the other nodes.
     """
     d = setup.encoding_degree if degree is None else int(degree)
     if d < 1:
         raise ValueError("degree must be >= 1")
     nodes = equidistant_nodes(d)
     if shots is None:
-        values = [exact_response(setup, th) for th in nodes.angles]
-        samples = SampleVector(
-            nodes, np.asarray(values), None, np.zeros(len(nodes))
-        )
+        values = exact_response(setup, nodes.angles)
+        samples = SampleVector(nodes, values, None, np.zeros(len(nodes)))
         epsilon = 0.0
     else:
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        estimates = [
-            sample_response(setup, th, shots, seed=[int(seed), k])
-            for k, th in enumerate(nodes.angles)
-        ]
+        seeds = [[int(seed), k] for k in range(len(nodes))]
+        estimates = sample_response(setup, nodes.angles, shots, seed=seeds)
         samples = SampleVector(
             nodes,
             np.array([e.mean for e in estimates]),

@@ -21,6 +21,19 @@ PAULI_MATRICES = {
 }
 
 
+def _sign_diagonal(letters: str) -> np.ndarray:
+    """+1/-1 per computational bitstring: the parity of the bits on the
+    qubits where ``letters`` is not I, i.e. the diagonal of the string with
+    every non-identity letter replaced by Z.  Qubit 0 is the most
+    significant bit."""
+    plus_minus = np.array([1.0, -1.0])
+    ones = np.array([1.0, 1.0])
+    v = np.array([1.0])
+    for ch in letters:
+        v = np.kron(v, plus_minus if ch != "I" else ones)
+    return v
+
+
 class UnsupportedMeasurementError(ValueError):
     """Observable cannot be measured with a single per-qubit basis rotation."""
 
@@ -187,15 +200,9 @@ class Observable:
         """Eigenvalue of the observable for each computational bitstring after
         the per-qubit basis rotation.  Index convention: qubit 0 is the most
         significant bit."""
-        n = self.n_qubits
-        diag = np.zeros(2**n)
-        plus_minus = np.array([1.0, -1.0])
-        ones = np.array([1.0, 1.0])
+        diag = np.zeros(2**self.n_qubits)
         for w, p in self.terms:
-            v = np.array([1.0])
-            for ch in p.letters:
-                v = np.kron(v, plus_minus if ch != "I" else ones)
-            diag += w * p.sign * v
+            diag += w * p.sign * _sign_diagonal(p.letters)
         return diag
 
     def matrix(self) -> np.ndarray:

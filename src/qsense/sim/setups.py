@@ -6,10 +6,21 @@ A setup evaluates the response
     R(theta) = Tr[ D(S_theta(E(|0..0><0..0|))) O ]
 
 where the encoding S_theta conjugates by exp(-i theta H / 2) and H is a sum
-of pairwise-commuting involutory Pauli terms.  The rotation is applied as a
-product of per-term rotations, which is exact because the terms commute.
-The density-matrix path is used whenever any channel carries noise;
-otherwise the cheaper statevector path runs.
+of pairwise-commuting involutory Pauli terms.  Only S_theta depends on
+theta, so a call prepares E(|0..0><0..0|) once (gate noise included) and
+runs encoding, pre-measurement and readout for each of its angles.
+
+The encoding is a product of per-term rotations cos(theta/2) - i
+sin(theta/2) P, which is exact because the terms commute.  When every
+term is built from I and Z letters (GHZ, the random ansatz, the
+variational setup), P is diagonal with entries +/-1 on the computational
+bitstrings, so each rotation is elementwise: psi(x) -> c psi(x) - i s
+z(x) psi(x), and on the density path rows by z(x) and columns by z(y).
+Those are the same floating-point operations as the general rotation,
+which applies P with one tensor contraction per letter, so both give the
+same bits.  Other encodings (one-axis twisting's X_j X_k) keep the
+contractions.  The density-matrix path is used whenever any channel
+carries noise; otherwise the cheaper statevector path runs.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import Channel, GateOp
-from .pauli import EncodingHamiltonian, Observable, PauliString
+from .pauli import EncodingHamiltonian, Observable, PauliString, _sign_diagonal
 from .states import (
     DimensionLimitError,
     QuantumState,
@@ -192,36 +203,104 @@ def _check_caps(setup: SensingSetup, pure_cap: int, density_cap: int) -> bool:
     return density
 
 
-def _evolved_state(
-    setup: SensingSetup,
-    theta: float,
-    pure_cap: int = DEFAULT_MAX_PURE_QUBITS,
-    density_cap: int = DEFAULT_MAX_DENSITY_QUBITS,
-) -> QuantumState:
+def _angles(theta) -> np.ndarray:
+    """Encoding angles as a 1-D float array; rejects NaN and infinities."""
+    thetas = np.asarray(theta, dtype=float)
+    if thetas.ndim > 1:
+        raise ValueError(f"theta must be a scalar or a 1-D array, got shape {thetas.shape}")
+    bad = thetas[~np.isfinite(thetas)]
+    if bad.size:
+        raise ValueError(f"theta must be finite, got {bad.flat[0]}")
+    return thetas.reshape(-1)
+
+
+def _z_diagonals(hamiltonian: EncodingHamiltonian) -> tuple[np.ndarray, ...] | None:
+    """Each term's +/-1 diagonal when every term is made of I and Z
+    letters; None otherwise."""
+    if any(set(t.letters) - {"I", "Z"} for t in hamiltonian.terms):
+        return None
+    return tuple(_sign_diagonal(t.letters) for t in hamiltonian.terms)
+
+
+class _Prepared(NamedTuple):
+    """The theta-independent part of a setup: E(|0..0><0..0|) as a tensor,
+    which path it is on and the encoding terms' diagonals (None when the
+    encoding needs the rotation loop)."""
+
+    tensor: np.ndarray
+    density: bool
+    diagonals: tuple[np.ndarray, ...] | None
+
+
+def _prepare(setup: SensingSetup, pure_cap: int, density_cap: int) -> _Prepared:
     density = _check_caps(setup, pure_cap, density_cap)
     n = setup.n
     tensor = QuantumState.zero(n, density=density).tensor()
     tensor = setup.preparation.apply(tensor, n, density, gate_noise=setup.noise)
-    for term in setup.hamiltonian.terms:
-        if density:
-            tensor = pauli_rotation_density(tensor, term.letters, term.sign, theta, n)
-        else:
-            tensor = pauli_rotation_pure(tensor, term.letters, term.sign, theta)
+    return _Prepared(tensor, density, _z_diagonals(setup.hamiltonian))
+
+
+def _encode(setup: SensingSetup, prepared: _Prepared, theta: float) -> QuantumState:
+    """Encoding, pre-measurement and the resulting state at one angle; the
+    prepared tensor is left untouched."""
+    n = setup.n
+    tensor, density, diagonals = prepared
+    if diagonals is not None:
+        # pauli_rotation_pure / _density with each Z-type term applied as
+        # its +/-1 diagonal: the same operations, so the same bits
+        c = math.cos(theta / 2.0)
+        s = math.sin(theta / 2.0)
+        tensor = tensor.reshape(2**n, -1) if density else tensor.reshape(-1)
+        for term, z in zip(setup.hamiltonian.terms, diagonals):
+            if density:
+                left = c * tensor - 1j * term.sign * s * (z[:, None] * tensor)
+                tensor = c * left + 1j * term.sign * s * (left * z)
+            else:
+                tensor = c * tensor - 1j * term.sign * s * (z * tensor)
+        tensor = tensor.reshape([2] * (2 * n if density else n))
+    else:
+        for term in setup.hamiltonian.terms:
+            if density:
+                tensor = pauli_rotation_density(tensor, term.letters, term.sign, theta, n)
+            else:
+                tensor = pauli_rotation_pure(tensor, term.letters, term.sign, theta)
     tensor = setup.premeasurement.apply(tensor, n, density, gate_noise=setup.noise)
     if density:
         return QuantumState(n, matrix=tensor.reshape(2**n, 2**n))
     return QuantumState(n, vector=tensor.reshape(-1))
 
 
-def exact_response(
+def _evolved_state(
     setup: SensingSetup,
     theta: float,
     pure_cap: int = DEFAULT_MAX_PURE_QUBITS,
     density_cap: int = DEFAULT_MAX_DENSITY_QUBITS,
-) -> float:
-    """Exact expectation of the readout observable at encoding angle theta."""
-    state = _evolved_state(setup, theta, pure_cap, density_cap)
-    return state.expectation(setup.observable)
+) -> QuantumState:
+    (angle,) = _angles(theta)
+    return _encode(setup, _prepare(setup, pure_cap, density_cap), angle)
+
+
+def exact_response(
+    setup: SensingSetup,
+    theta,
+    pure_cap: int = DEFAULT_MAX_PURE_QUBITS,
+    density_cap: int = DEFAULT_MAX_DENSITY_QUBITS,
+) -> float | np.ndarray:
+    """Exact expectation of the readout observable at encoding angle theta.
+
+    ``theta`` is a float, giving a float, or a 1-D array of angles, giving
+    an array of the same length.  The preparation runs once per call and
+    the encoding and pre-measurement once per angle, so each angle's value
+    is the one a scalar call returns.  Encodings made of I and Z letters
+    are applied elementwise, others by per-term rotations (see the module
+    docstring).  NaN or infinite angles raise ValueError.
+    """
+    thetas = _angles(theta)
+    prepared = _prepare(setup, pure_cap, density_cap)
+    values = np.array(
+        [_encode(setup, prepared, t).expectation(setup.observable) for t in thetas]
+    )
+    return float(values[0]) if np.ndim(theta) == 0 else values
 
 
 def response_variance(
@@ -249,12 +328,12 @@ def _measurement_rotation(letters: str) -> Channel:
 
 def sample_response(
     setup: SensingSetup,
-    theta: float,
+    theta,
     shots: int,
     seed=None,
     pure_cap: int = DEFAULT_MAX_PURE_QUBITS,
     density_cap: int = DEFAULT_MAX_DENSITY_QUBITS,
-) -> ShotEstimate:
+) -> ShotEstimate | list[ShotEstimate]:
     """Finite-shot estimate of the response.
 
     Rotates into the joint eigenbasis of the observable's terms (which must
@@ -262,27 +341,48 @@ def sample_response(
     the exact distribution and returns the empirical mean of the observable
     eigenvalue together with its standard error.  The estimate is unbiased:
     its expectation over the RNG equals ``exact_response``.
+
+    ``theta`` is a float, giving one ShotEstimate drawn from
+    ``default_rng(seed)``, or a 1-D array of angles, giving a list of
+    ShotEstimates; ``seed`` is then a sequence of one seed per angle and
+    angle k draws from ``default_rng(seed[k])``, so each estimate equals the
+    scalar call at that angle and seed.  As in ``exact_response`` the
+    preparation runs once per call.  NaN or infinite angles raise ValueError.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    thetas = _angles(theta)
+    scalar = np.ndim(theta) == 0
+    if scalar:
+        seeds = [seed]
+    else:
+        seeds = seed if hasattr(seed, "__len__") else None
+        if seeds is None or len(seeds) != len(thetas):
+            raise ValueError(
+                f"an array of {len(thetas)} theta values needs a sequence of "
+                f"{len(thetas)} seeds, one per angle, got {seed!r}"
+            )
     letters = setup.observable.measurement_letters()
-    state = _evolved_state(setup, theta, pure_cap, density_cap)
+    prepared = _prepare(setup, pure_cap, density_cap)
     n = setup.n
     rotation = _measurement_rotation(letters)
-    tensor = rotation.apply(state.tensor(), n, density=not state.is_pure)
-    if state.is_pure:
-        probs = np.abs(tensor.reshape(-1)) ** 2
-    else:
-        probs = np.diag(tensor.reshape(2**n, 2**n)).real.copy()
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
     eigs = setup.observable.measurement_diagonal()
-    mean = float(counts @ eigs) / shots
-    second = float(counts @ (eigs**2)) / shots
-    variance = max(second - mean**2, 0.0)
-    return ShotEstimate(mean, shots, math.sqrt(variance / shots))
+    estimates = []
+    for t, s in zip(thetas, seeds):
+        state = _encode(setup, prepared, t)
+        tensor = rotation.apply(state.tensor(), n, density=not state.is_pure)
+        if state.is_pure:
+            probs = np.abs(tensor.reshape(-1)) ** 2
+        else:
+            probs = np.diag(tensor.reshape(2**n, 2**n)).real.copy()
+        probs = np.clip(probs, 0.0, None)
+        probs /= probs.sum()
+        counts = np.random.default_rng(s).multinomial(shots, probs)
+        mean = float(counts @ eigs) / shots
+        second = float(counts @ (eigs**2)) / shots
+        variance = max(second - mean**2, 0.0)
+        estimates.append(ShotEstimate(mean, shots, math.sqrt(variance / shots)))
+    return estimates[0] if scalar else estimates
 
 
 def setup_to_json(setup: SensingSetup) -> dict:

@@ -56,8 +56,9 @@ def test_criterion_01_interpolation_exactness_all_setups():
         ]
         for setup in setups:
             poly = infer_response(setup, shots=None).poly
-            for theta in rng.uniform(0.0, TWO_PI, 100):
-                worst = max(worst, abs(exact_response(setup, theta) - poly.evaluate(theta)))
+            thetas = rng.uniform(0.0, TWO_PI, 100)
+            residual = np.abs(exact_response(setup, thetas) - poly.evaluate(thetas))
+            worst = max(worst, float(residual.max()))
     elapsed = time.perf_counter() - start
     _report(
         1,
@@ -94,7 +95,7 @@ def test_criterion_03_error_scaling_with_polylog_shots():
         shots = polylog_shot_schedule(n)
         poly_exact = response_polynomial(setup)
         grid = np.random.default_rng([3, n]).uniform(0.0, TWO_PI, 10_000)
-        truth = np.array([exact_response(setup, t) for t in grid])
+        truth = exact_response(setup, grid)
         node_angles = equidistant_nodes(n).angles
         node_truth = poly_exact.evaluate(node_angles)
         trial_medians = []

@@ -93,6 +93,21 @@ def test_sensitivity_poly_mode(tmp_path):
     assert (rows["divergent"] == 0).all()
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_sensitivity_rejects_nonpositive_points(tmp_path, capsys, points):
+    poly_file = tmp_path / "cos.json"
+    poly_file.write_text(json.dumps(TrigPoly([1.0], [0.0], 0.0).to_json_dict()))
+    modes = [
+        ["--setup", "ghz", "--n", "3"],
+        ["--poly", str(poly_file), "--lo", "0.5", "--hi", "2.5"],
+    ]
+    for i, mode in enumerate(modes):
+        out = tmp_path / f"s{i}"
+        assert main(["sensitivity", *mode, "--points", points, "--out", str(out)]) == 2
+        assert "--points" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_sensitivity_poly_mode_needs_range(tmp_path, capsys):
     poly_file = tmp_path / "cos.json"
     poly_file.write_text(json.dumps(TrigPoly([1.0], [0.0], 0.0).to_json_dict()))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -266,3 +267,113 @@ def test_setup_json_carries_term_strings():
     doc = setup_to_json(build_ghz_setup(4))
     assert doc["hamiltonian"][0] == "ZIII"
     assert doc["observable"] == [[1.0, "XXXX"]]
+
+
+def _property_setups():
+    from qsense.variational import TrainableMeasurement
+
+    cases = [make(noise) for make in ALL_BUILDERS for noise in (0.0, 0.02)]
+    measurement = TrainableMeasurement.convolutional(4)
+    params = np.random.default_rng(3).uniform(0.0, 2 * math.pi, measurement.parameter_count)
+    return cases + [measurement.setup(params)]
+
+
+@pytest.mark.parametrize("setup", _property_setups(), ids=lambda s: f"{s.kind}-{s.noise}")
+def test_array_exact_response_matches_scalar_loop(setup):
+    thetas = np.random.default_rng(21).uniform(-2 * math.pi, 4 * math.pi, 12)
+    batched = exact_response(setup, thetas)
+    assert isinstance(batched, np.ndarray) and batched.shape == thetas.shape
+    looped = np.array([exact_response(setup, t) for t in thetas])
+    assert np.abs(batched - looped).max() < 1e-12
+    assert isinstance(exact_response(setup, float(thetas[0])), float)
+
+
+@pytest.mark.parametrize("setup", _property_setups(), ids=lambda s: f"{s.kind}-{s.noise}")
+def test_array_sample_response_matches_scalar_calls(setup):
+    thetas = np.random.default_rng(22).uniform(0.0, 2 * math.pi, 7)
+    seeds = [[5, k] for k in range(len(thetas))]
+    batched = sample_response(setup, thetas, 300, seed=seeds)
+    assert batched == [sample_response(setup, t, 300, seed=s) for t, s in zip(thetas, seeds)]
+
+
+def _z_setups():
+    from qsense.variational import TrainableMeasurement
+
+    measurement = TrainableMeasurement.convolutional(4)
+    params = np.random.default_rng(4).uniform(0.0, 2 * math.pi, measurement.parameter_count)
+    signed = SensingSetup(
+        n=3,
+        preparation=build_random_ansatz_setup(3, layers=2, seed=2).preparation,
+        hamiltonian=EncodingHamiltonian(
+            (PauliString("ZZZ", -1), PauliString("IZI"), PauliString("ZIZ"))
+        ),
+        premeasurement=Channel(),
+        observable=Observable(((1.0, PauliString("XXX")),)),
+    )
+    out = []
+    for noise in (0.0, 0.02):
+        out += [
+            build_ghz_setup(1, noise=noise),
+            build_ghz_setup(4, noise=noise),
+            build_random_ansatz_setup(4, layers=2, seed=9, noise=noise),
+            dataclasses.replace(signed, noise=noise),
+        ]
+    return out + [measurement.setup(params)]
+
+
+@pytest.mark.parametrize("setup", _z_setups(), ids=lambda s: f"{s.kind}{s.n}-{s.noise}")
+def test_z_diagonal_path_matches_rotation_loop_and_dense_oracle(setup):
+    from scipy.linalg import expm
+
+    from qsense.sim.setups import _encode, _prepare
+
+    prepared = _prepare(setup, 14, 10)
+    assert prepared.diagonals is not None
+    loop = prepared._replace(diagonals=None)
+    dim = 2**setup.n
+    start = prepared.tensor.reshape(dim, -1)
+    for theta in np.random.default_rng(23).uniform(-math.pi, 3 * math.pi, 5):
+        phased = _encode(setup, prepared, theta)
+        rotated = _encode(setup, loop, theta)
+        u = expm(-0.5j * theta * setup.hamiltonian.matrix())
+        encoded = u @ start @ u.conj().T if prepared.density else u @ start.reshape(-1)
+        shape = [2] * (2 * setup.n if prepared.density else setup.n)
+        oracle = setup.premeasurement.apply(
+            encoded.reshape(shape), setup.n, prepared.density, gate_noise=setup.noise
+        ).reshape(encoded.shape)
+        if prepared.density:
+            assert np.array_equal(phased.matrix, rotated.matrix)
+            assert np.abs(phased.matrix - oracle).max() < 1e-12
+        else:
+            assert np.array_equal(phased.vector, rotated.vector)
+            assert np.abs(phased.vector - oracle).max() < 1e-12
+
+
+def test_non_commuting_letters_keep_rotation_loop():
+    from qsense.sim.setups import _prepare
+
+    assert _prepare(build_squeezing_setup(3), 14, 10).diagonals is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_rejected(bad):
+    for setup in (build_ghz_setup(3), build_ghz_setup(3, noise=0.01)):
+        with pytest.raises(ValueError, match="theta"):
+            exact_response(setup, bad)
+        with pytest.raises(ValueError, match="theta"):
+            exact_response(setup, np.array([0.1, bad, 0.3]))
+        with pytest.raises(ValueError, match="theta"):
+            sample_response(setup, bad, 100, seed=0)
+        with pytest.raises(ValueError, match="theta"):
+            sample_response(setup, [0.1, bad], 100, seed=[0, 1])
+
+
+def test_array_theta_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="theta"):
+        exact_response(build_ghz_setup(2), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("seed", [None, 3, [1, 2], [1, 2, 3, 4]])
+def test_array_sample_needs_one_seed_per_angle(seed):
+    with pytest.raises(ValueError, match="seed"):
+        sample_response(build_ghz_setup(3), [0.1, 0.2, 0.3], 100, seed=seed)
