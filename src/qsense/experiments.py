@@ -84,7 +84,8 @@ class ExperimentConfig:
                 f"n={max(values)} exceeds the desk-scale {path} study cap of {cap}"
             )
         object.__setattr__(self, "n_values", values)
-        resolve_shots(self.shots, max(2, values[0]))  # validate the policy early
+        for n in values:  # fail before any file is written
+            resolve_shots(self.shots, n)
 
     def to_json_dict(self) -> dict:
         doc = asdict(self)
@@ -160,9 +161,12 @@ def resolve_shots(policy: str, n: int) -> int | None:
             ) from None
         return shot_budget(n, delta, alpha)
     try:
-        return int(text)
+        shots = int(text)
     except ValueError:
         raise ValueError(f"unknown shots policy {policy!r}") from None
+    if shots < 1:
+        raise ValueError(f"shots policy {policy!r} must be at least 1 shot")
+    return shots
 
 
 def make_setup(config: ExperimentConfig, n: int) -> SensingSetup:

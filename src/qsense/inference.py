@@ -309,29 +309,29 @@ def sensitivity(
     return SensitivityPoint(float(theta), float(variance), float(slope), delta_sq, divergent)
 
 
-def sensitivity_curve(poly: TrigPoly, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized inferred-mode sensitivity: (delta theta)^2 over a grid,
-    plus the divergence mask (|slope| below SLOPE_FLOOR maps to inf)."""
+def _sensitivity_grid(poly: TrigPoly, thetas, finish) -> tuple[np.ndarray, np.ndarray]:
+    """``finish(variance, slope)`` over a grid with the inferred-mode
+    variance 1 - R~^2 (clamped at zero), inf where |slope| < SLOPE_FLOOR,
+    plus that divergence mask."""
     grid = np.asarray(thetas, dtype=float)
     values = poly.evaluate(grid)
     slopes = poly.derivative().evaluate(grid)
     variance = np.clip(1.0 - values**2, 0.0, None)
     divergent = np.abs(slopes) < SLOPE_FLOOR
-    delta_sq = np.full_like(grid, np.inf)
+    out = np.full_like(grid, np.inf)
     ok = ~divergent
-    delta_sq[ok] = variance[ok] / slopes[ok] ** 2
-    return delta_sq, divergent
+    out[ok] = finish(variance[ok], slopes[ok])
+    return out, divergent
+
+
+def sensitivity_curve(poly: TrigPoly, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized inferred-mode sensitivity: (delta theta)^2 over a grid,
+    plus the divergence mask (|slope| below SLOPE_FLOOR maps to inf)."""
+    return _sensitivity_grid(poly, thetas, lambda var, slope: var / slope**2)
 
 
 def _delta_theta_curve(poly: TrigPoly, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    values = poly.evaluate(grid)
-    slopes = poly.derivative().evaluate(grid)
-    variance = np.clip(1.0 - values**2, 0.0, None)
-    divergent = np.abs(slopes) < SLOPE_FLOOR
-    delta = np.full_like(grid, np.inf)
-    ok = ~divergent
-    delta[ok] = np.sqrt(variance[ok]) / np.abs(slopes[ok])
-    return delta, divergent
+    return _sensitivity_grid(poly, grid, lambda var, slope: np.sqrt(var) / np.abs(slope))
 
 
 def sensitivity_error_check(

@@ -11,16 +11,11 @@ theta, so a call prepares E(|0..0><0..0|) once (gate noise included) and
 runs encoding, pre-measurement and readout for each of its angles.
 
 The encoding is a product of per-term rotations cos(theta/2) - i
-sin(theta/2) P, which is exact because the terms commute.  When every
-term is built from I and Z letters (GHZ, the random ansatz, the
-variational setup), P is diagonal with entries +/-1 on the computational
-bitstrings, so each rotation is elementwise: psi(x) -> c psi(x) - i s
-z(x) psi(x), and on the density path rows by z(x) and columns by z(y).
-Those are the same floating-point operations as the general rotation,
-which applies P with one tensor contraction per letter, so both give the
-same bits.  Other encodings (one-axis twisting's X_j X_k) keep the
-contractions.  The density-matrix path is used whenever any channel
-carries noise; otherwise the cheaper statevector path runs.
+sin(theta/2) P, which is exact because the terms commute.  Every encoding
+takes this one path, with P applied letter by letter as an index flip and
+a phase (``apply_pauli_letters``).  The density-matrix path is used
+whenever any channel carries noise; otherwise the cheaper statevector path
+runs.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import Channel, GateOp
-from .pauli import EncodingHamiltonian, Observable, PauliString, _sign_diagonal
+from .pauli import EncodingHamiltonian, Observable, PauliString
 from .states import (
     DimensionLimitError,
     QuantumState,
@@ -192,17 +187,6 @@ def build_random_ansatz_setup(
     )
 
 
-def _check_caps(setup: SensingSetup, pure_cap: int, density_cap: int) -> bool:
-    density = setup.needs_density
-    cap = density_cap if density else pure_cap
-    if setup.n > cap:
-        path = "density-matrix" if density else "statevector"
-        raise DimensionLimitError(
-            f"{setup.n} qubits exceeds the {path} cap of {cap}"
-        )
-    return density
-
-
 def _angles(theta) -> np.ndarray:
     """Encoding angles as a 1-D float array; rejects NaN and infinities."""
     thetas = np.asarray(theta, dtype=float)
@@ -214,103 +198,67 @@ def _angles(theta) -> np.ndarray:
     return thetas.reshape(-1)
 
 
-def _z_diagonals(hamiltonian: EncodingHamiltonian) -> tuple[np.ndarray, ...] | None:
-    """Each term's +/-1 diagonal when every term is made of I and Z
-    letters; None otherwise."""
-    if any(set(t.letters) - {"I", "Z"} for t in hamiltonian.terms):
-        return None
-    return tuple(_sign_diagonal(t.letters) for t in hamiltonian.terms)
-
-
 class _Prepared(NamedTuple):
-    """The theta-independent part of a setup: E(|0..0><0..0|) as a tensor,
-    which path it is on and the encoding terms' diagonals (None when the
-    encoding needs the rotation loop)."""
+    """The theta-independent part of a setup: E(|0..0><0..0|) as a tensor
+    and which path it is on."""
 
     tensor: np.ndarray
     density: bool
-    diagonals: tuple[np.ndarray, ...] | None
 
 
-def _prepare(setup: SensingSetup, pure_cap: int, density_cap: int) -> _Prepared:
-    density = _check_caps(setup, pure_cap, density_cap)
+def _prepare(setup: SensingSetup) -> _Prepared:
+    density = setup.needs_density
+    cap = DEFAULT_MAX_DENSITY_QUBITS if density else DEFAULT_MAX_PURE_QUBITS
     n = setup.n
+    if n > cap:
+        path = "density-matrix" if density else "statevector"
+        raise DimensionLimitError(f"{n} qubits exceeds the {path} cap of {cap}")
     tensor = QuantumState.zero(n, density=density).tensor()
     tensor = setup.preparation.apply(tensor, n, density, gate_noise=setup.noise)
-    return _Prepared(tensor, density, _z_diagonals(setup.hamiltonian))
+    return _Prepared(tensor, density)
 
 
 def _encode(setup: SensingSetup, prepared: _Prepared, theta: float) -> QuantumState:
     """Encoding, pre-measurement and the resulting state at one angle; the
     prepared tensor is left untouched."""
     n = setup.n
-    tensor, density, diagonals = prepared
-    if diagonals is not None:
-        # pauli_rotation_pure / _density with each Z-type term applied as
-        # its +/-1 diagonal: the same operations, so the same bits
-        c = math.cos(theta / 2.0)
-        s = math.sin(theta / 2.0)
-        tensor = tensor.reshape(2**n, -1) if density else tensor.reshape(-1)
-        for term, z in zip(setup.hamiltonian.terms, diagonals):
-            if density:
-                left = c * tensor - 1j * term.sign * s * (z[:, None] * tensor)
-                tensor = c * left + 1j * term.sign * s * (left * z)
-            else:
-                tensor = c * tensor - 1j * term.sign * s * (z * tensor)
-        tensor = tensor.reshape([2] * (2 * n if density else n))
-    else:
-        for term in setup.hamiltonian.terms:
-            if density:
-                tensor = pauli_rotation_density(tensor, term.letters, term.sign, theta, n)
-            else:
-                tensor = pauli_rotation_pure(tensor, term.letters, term.sign, theta)
+    tensor, density = prepared
+    for term in setup.hamiltonian.terms:
+        if density:
+            tensor = pauli_rotation_density(tensor, term.letters, term.sign, theta, n)
+        else:
+            tensor = pauli_rotation_pure(tensor, term.letters, term.sign, theta)
     tensor = setup.premeasurement.apply(tensor, n, density, gate_noise=setup.noise)
     if density:
         return QuantumState(n, matrix=tensor.reshape(2**n, 2**n))
     return QuantumState(n, vector=tensor.reshape(-1))
 
 
-def _evolved_state(
-    setup: SensingSetup,
-    theta: float,
-    pure_cap: int = DEFAULT_MAX_PURE_QUBITS,
-    density_cap: int = DEFAULT_MAX_DENSITY_QUBITS,
-) -> QuantumState:
+def _evolved_state(setup: SensingSetup, theta: float) -> QuantumState:
     (angle,) = _angles(theta)
-    return _encode(setup, _prepare(setup, pure_cap, density_cap), angle)
+    return _encode(setup, _prepare(setup), angle)
 
 
-def exact_response(
-    setup: SensingSetup,
-    theta,
-    pure_cap: int = DEFAULT_MAX_PURE_QUBITS,
-    density_cap: int = DEFAULT_MAX_DENSITY_QUBITS,
-) -> float | np.ndarray:
+def exact_response(setup: SensingSetup, theta) -> float | np.ndarray:
     """Exact expectation of the readout observable at encoding angle theta.
 
     ``theta`` is a float, giving a float, or a 1-D array of angles, giving
     an array of the same length.  The preparation runs once per call and
     the encoding and pre-measurement once per angle, so each angle's value
-    is the one a scalar call returns.  Encodings made of I and Z letters
-    are applied elementwise, others by per-term rotations (see the module
-    docstring).  NaN or infinite angles raise ValueError.
+    is the one a scalar call returns.  NaN or infinite angles raise
+    ValueError.
     """
     thetas = _angles(theta)
-    prepared = _prepare(setup, pure_cap, density_cap)
+    prepared = _prepare(setup)
     values = np.array(
         [_encode(setup, prepared, t).expectation(setup.observable) for t in thetas]
     )
     return float(values[0]) if np.ndim(theta) == 0 else values
 
 
-def response_variance(
-    setup: SensingSetup,
-    theta: float,
-    pure_cap: int = DEFAULT_MAX_PURE_QUBITS,
-    density_cap: int = DEFAULT_MAX_DENSITY_QUBITS,
-) -> float:
+def response_variance(setup: SensingSetup, theta: float) -> float:
     """Observable variance Tr[rho O^2] - Tr[rho O]^2 at angle theta."""
-    state = _evolved_state(setup, theta, pure_cap, density_cap)
+    state = _evolved_state(setup, theta)
     mean = state.expectation(setup.observable)
     return state.second_moment(setup.observable) - mean**2
 
@@ -331,8 +279,6 @@ def sample_response(
     theta,
     shots: int,
     seed=None,
-    pure_cap: int = DEFAULT_MAX_PURE_QUBITS,
-    density_cap: int = DEFAULT_MAX_DENSITY_QUBITS,
 ) -> ShotEstimate | list[ShotEstimate]:
     """Finite-shot estimate of the response.
 
@@ -363,7 +309,7 @@ def sample_response(
                 f"{len(thetas)} seeds, one per angle, got {seed!r}"
             )
     letters = setup.observable.measurement_letters()
-    prepared = _prepare(setup, pure_cap, density_cap)
+    prepared = _prepare(setup)
     n = setup.n
     rotation = _measurement_rotation(letters)
     eigs = setup.observable.measurement_diagonal()

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PAULI_MATRICES, Observable
+from .pauli import Observable
+
+# the nonzero entries of Z and Y (after Y's flip), and of their conjugates
+_PHASES = {
+    ("Z", False): np.array([1.0, -1.0], dtype=complex),
+    ("Z", True): np.array([1.0, -1.0], dtype=complex),
+    ("Y", False): np.array([-1.0j, 1.0j]),
+    ("Y", True): np.array([1.0j, -1.0j]),
+}
 
 
 class DimensionLimitError(ValueError):
@@ -152,16 +160,25 @@ def apply_gate_density(
 def apply_pauli_letters(
     tensor: np.ndarray, letters: str, axis_offset: int = 0, conjugate: bool = False
 ) -> np.ndarray:
-    """Apply the single-qubit matrices of a Pauli letter string (sign excluded)."""
-    out = tensor
+    """Apply the single-qubit matrices of a Pauli letter string (sign excluded).
+
+    Each letter acts on axis ``axis_offset + q`` as an index operation: X
+    flips the axis, Z multiplies it by [1, -1], and Y flips it and then
+    multiplies by [-i, i] ([i, -i] with ``conjugate``).  Every product is
+    with 0, +/-1 or +/-i, which is exact in floating point, so the result
+    has the same values as contracting the 2x2 matrices of PAULI_MATRICES.
+    The result is a new array, never a view of ``tensor``.
+    """
+    flips = tuple(axis_offset + q for q, ch in enumerate(letters) if ch in "XY")
+    out = np.flip(tensor, flips)
+    phased = False
     for q, ch in enumerate(letters):
-        if ch == "I":
-            continue
-        m = PAULI_MATRICES[ch]
-        if conjugate:
-            m = m.conj()
-        out = apply_matrix(out, m, (axis_offset + q,))
-    return out
+        if ch in "YZ":
+            axis = axis_offset + q
+            phase = _PHASES[ch, conjugate].reshape((2,) + (1,) * (out.ndim - axis - 1))
+            out = out * phase
+            phased = True
+    return out if phased else out.astype(complex)
 
 
 def pauli_rotation_pure(

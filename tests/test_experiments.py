@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qsense.cli import main
 from qsense.experiments import (
     ExperimentConfig,
     InferenceRecord,
@@ -24,9 +25,12 @@ def test_resolve_shots_policies():
         resolve_shots("sometimes", 4)
     with pytest.raises(ValueError):
         resolve_shots("budget:0.1", 4)
+    for bad in ("0", "-4"):
+        with pytest.raises(ValueError, match="at least 1 shot"):
+            resolve_shots(bad, 4)
 
 
-def test_config_validation_and_round_trip():
+def test_config_validation_and_round_trip(tmp_path):
     config = ExperimentConfig(kind="ghz", n_values=(2, 3), shots="polylog", repeats=2)
     back = ExperimentConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
     assert back == config
@@ -49,6 +53,14 @@ def test_config_validation_and_round_trip():
     for noise in (math.nan, -0.1, 1.5):
         with pytest.raises(ValueError, match="noise"):
             ExperimentConfig(kind="ghz", n_values=(2,), noise=noise)
+    for shots, n_values in [("0", [2]), ("-4", [2]), ("polylog", [1, 2]), ("budget:0.1,0.05", [2, 1])]:
+        doc = {"kind": "ghz", "n_values": n_values, "shots": shots,
+               "out_dir": str(tmp_path / "out"), "study": "inference"}
+        with pytest.raises(ValueError, match="shots|n >= 2"):
+            ExperimentConfig.from_json_dict(doc)
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert main(["study", "--config", str(tmp_path / "config.json")]) == 2
+        assert not (tmp_path / "out").exists()  # rejected before any file is written
 
 
 def test_inference_record_median_le_max():

@@ -138,9 +138,6 @@ def test_dimension_cap_rejected():
     noisy = build_ghz_setup(11, noise=0.01)
     with pytest.raises(DimensionLimitError):
         exact_response(noisy, 0.1)
-    # raising the cap unblocks the density path for 11 qubits is too slow here;
-    # check the pure override instead
-    assert abs(exact_response(setup, 0.0, pure_cap=15) - 1.0) < 1e-10
 
 
 def test_sample_deterministic_outcome_at_ghz_zero():
@@ -296,19 +293,26 @@ def test_array_sample_response_matches_scalar_calls(setup):
     assert batched == [sample_response(setup, t, 300, seed=s) for t, s in zip(thetas, seeds)]
 
 
-def _z_setups():
+def _oracle_setups():
     from qsense.variational import TrainableMeasurement
 
     measurement = TrainableMeasurement.convolutional(4)
     params = np.random.default_rng(4).uniform(0.0, 2 * math.pi, measurement.parameter_count)
-    signed = SensingSetup(
-        n=3,
-        preparation=build_random_ansatz_setup(3, layers=2, seed=2).preparation,
-        hamiltonian=EncodingHamiltonian(
-            (PauliString("ZZZ", -1), PauliString("IZI"), PauliString("ZIZ"))
-        ),
-        premeasurement=Channel(),
-        observable=Observable(((1.0, PauliString("XXX")),)),
+    probe = build_random_ansatz_setup(3, layers=2, seed=2).preparation
+
+    def custom(*terms):
+        return SensingSetup(
+            n=3,
+            preparation=probe,
+            hamiltonian=EncodingHamiltonian(terms),
+            premeasurement=Channel(),
+            observable=Observable(((1.0, PauliString("XXX")),)),
+        )
+
+    signed = custom(PauliString("ZZZ", -1), PauliString("IZI"), PauliString("ZIZ"))
+    xy = dataclasses.replace(
+        custom(PauliString("XYY"), PauliString("YXY", -1), PauliString("YYX"), PauliString("IZZ")),
+        kind="custom-xy",
     )
     out = []
     for noise in (0.0, 0.02):
@@ -316,43 +320,33 @@ def _z_setups():
             build_ghz_setup(1, noise=noise),
             build_ghz_setup(4, noise=noise),
             build_random_ansatz_setup(4, layers=2, seed=9, noise=noise),
+            build_squeezing_setup(3, noise=noise),
+            build_squeezing_setup(4, noise=noise),
             dataclasses.replace(signed, noise=noise),
+            dataclasses.replace(xy, noise=noise),
         ]
     return out + [measurement.setup(params)]
 
 
-@pytest.mark.parametrize("setup", _z_setups(), ids=lambda s: f"{s.kind}{s.n}-{s.noise}")
-def test_z_diagonal_path_matches_rotation_loop_and_dense_oracle(setup):
+@pytest.mark.parametrize("setup", _oracle_setups(), ids=lambda s: f"{s.kind}{s.n}-{s.noise}")
+def test_encoding_matches_dense_oracle(setup):
     from scipy.linalg import expm
 
     from qsense.sim.setups import _encode, _prepare
 
-    prepared = _prepare(setup, 14, 10)
-    assert prepared.diagonals is not None
-    loop = prepared._replace(diagonals=None)
+    prepared = _prepare(setup)
     dim = 2**setup.n
     start = prepared.tensor.reshape(dim, -1)
     for theta in np.random.default_rng(23).uniform(-math.pi, 3 * math.pi, 5):
-        phased = _encode(setup, prepared, theta)
-        rotated = _encode(setup, loop, theta)
+        state = _encode(setup, prepared, theta)
         u = expm(-0.5j * theta * setup.hamiltonian.matrix())
         encoded = u @ start @ u.conj().T if prepared.density else u @ start.reshape(-1)
         shape = [2] * (2 * setup.n if prepared.density else setup.n)
         oracle = setup.premeasurement.apply(
             encoded.reshape(shape), setup.n, prepared.density, gate_noise=setup.noise
         ).reshape(encoded.shape)
-        if prepared.density:
-            assert np.array_equal(phased.matrix, rotated.matrix)
-            assert np.abs(phased.matrix - oracle).max() < 1e-12
-        else:
-            assert np.array_equal(phased.vector, rotated.vector)
-            assert np.abs(phased.vector - oracle).max() < 1e-12
-
-
-def test_non_commuting_letters_keep_rotation_loop():
-    from qsense.sim.setups import _prepare
-
-    assert _prepare(build_squeezing_setup(3), 14, 10).diagonals is None
+        got = state.matrix if prepared.density else state.vector
+        assert np.abs(got - oracle).max() < 1e-12
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qsense.sim.channels import Channel, DepolarizeOp, GateOp
-from qsense.sim.pauli import Observable, PauliString
-from qsense.sim.states import QuantumState
+from qsense.sim.pauli import PAULI_MATRICES, Observable, PauliString
+from qsense.sim.states import QuantumState, apply_matrix, apply_pauli_letters
 
 
 def test_zero_state_invariants():
@@ -114,3 +116,21 @@ def test_density_expectation_matches_pure():
     obs = Observable(((1.0, PauliString("XY")),))
     assert abs(pure.expectation(obs) - rho.expectation(obs)) < 1e-12
     assert abs(pure.second_moment(obs) - rho.second_moment(obs)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_letters_equal_matrix_contractions(n):
+    rng = np.random.default_rng(17 + n)
+    for density in (False, True):
+        shape = [2] * (2 * n if density else n)
+        tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for letters in map("".join, itertools.product("IXYZ", repeat=n)):
+            for offset in (0, n) if density else (0,):
+                for conjugate in (False, True):
+                    expected = tensor
+                    for q, ch in enumerate(letters):
+                        mat = PAULI_MATRICES[ch].conj() if conjugate else PAULI_MATRICES[ch]
+                        expected = apply_matrix(expected, mat, (offset + q,))
+                    out = apply_pauli_letters(tensor, letters, offset, conjugate)
+                    assert np.array_equal(out, expected), (letters, offset, conjugate)
+                    assert not np.shares_memory(out, tensor)

@@ -1,0 +1,128 @@
+"""Byte-identity check of the qsense CLI outputs between two source trees.
+
+    python3 tools/bytecheck.py PARENT_TREE CHANGE_TREE
+
+Runs the same fixed set of ``qsense`` commands under each tree (imported
+from ``<tree>/src``): ``infer`` exact and sampled on the ghz, random and
+squeezing setups with and without noise, six ``study`` configs,
+``sensitivity`` in setup and ``--poly`` mode and ``train --epochs 20``.
+Every output file is then compared byte for byte, except that
+``runtime_seconds`` in ``summary.json`` and ``out_dir`` in ``config.json``
+are ignored.  Prints one line per differing output or failing command and
+a total; exits 1 when any output differs or any command fails, 0
+otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+INFER = [
+    ("ghz", 7, 0.01, "1000"),
+    ("random", 5, 0.01, "1000"),
+    ("squeezing", 4, 0.01, "1000"),
+    ("ghz", 10, 0.0, "exact"),
+    ("random", 8, 0.0, "exact"),
+    ("squeezing", 6, 0.0, "exact"),
+    ("random", 8, 0.0, "2000"),
+    ("squeezing", 5, 0.0, "2000"),
+    ("ghz", 4, 0.02, "exact"),
+]
+
+STUDIES = [
+    ("inference", dict(kind="ghz", n_values=[2, 4, 6], shots="1000", repeats=2)),
+    ("inference", dict(kind="random", n_values=[3, 5], shots="exact", layers=2)),
+    ("inference", dict(kind="squeezing", n_values=[3, 4], noise=0.02, shots="2000")),
+    ("prediction", dict(kind="ghz", n_values=[2, 4], shots="1000", exact_curves=True,
+                        prediction_fields=10)),
+    ("prediction", dict(kind="ghz", n_values=[3], noise=0.01, shots="exact",
+                        prediction_fields=10)),
+    ("sensitivity", dict(kind="ghz", n_values=[3, 5], shots="1000", repeats=2)),
+]
+
+# ignored keys: wall-clock time, and the output path a config names
+VOLATILE = {"summary.json": ("records", "runtime_seconds"), "config.json": (None, "out_dir")}
+
+
+def commands(work: Path) -> list[list[str]]:
+    """The command lines, with paths relative to ``work``; study configs
+    are written to ``work/in``, which is not compared."""
+    (work / "in").mkdir()
+    cmds = []
+    for setup, n, noise, shots in INFER:
+        cmds.append(["infer", "--setup", setup, "--n", str(n), "--noise", str(noise),
+                     "--shots", shots, "--seed", "7", "--out", f"infer_{setup}_{n}_{noise}_{shots}"])
+    for k, (study, fields) in enumerate(STUDIES):
+        config = f"in/study_{k}.json"
+        (work / config).write_text(json.dumps(
+            dict(fields, out_dir=f"study_{k}_{study}", test_points=400, base_seed=k)
+        ))
+        cmds.append(["study", "--study", study, "--config", config])
+    cmds.append(["sensitivity", "--setup", "ghz", "--n", "4", "--shots", "1000",
+                 "--out", "sens_setup"])
+    cmds.append(["sensitivity", "--setup", "squeezing", "--n", "4", "--shots", "exact",
+                 "--out", "sens_squeezing"])
+    cmds.append(["sensitivity", "--poly", "infer_ghz_10_0.0_exact/inference.json",
+                 "--lo", "-0.1", "--hi", "0.1", "--points", "101", "--out", "sens_poly"])
+    cmds.append(["train", "--n", "4", "--epochs", "20", "--out", "train"])
+    return cmds
+
+
+def run_tree(tree: Path, work: Path) -> list[int]:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QSENSE_")}
+    env["PYTHONPATH"] = str(tree / "src")
+    codes = []
+    for argv in commands(work):
+        proc = subprocess.run([sys.executable, "-m", "qsense.cli", *argv], env=env,
+                              cwd=work, capture_output=True, text=True)
+        if proc.returncode:
+            print(f"{tree.name}: qsense {argv[0]} exited {proc.returncode}: "
+                  f"{proc.stderr.strip()}")
+        codes.append(proc.returncode)
+    return codes
+
+
+def normalized(path: Path) -> bytes:
+    data = path.read_bytes()
+    if path.name not in VOLATILE:
+        return data
+    outer, key = VOLATILE[path.name]
+    doc = json.loads(data)
+    for entry in doc[outer] if outer else [doc]:
+        entry.pop(key, None)
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        works = [Path(tmp) / "parent", Path(tmp) / "change"]
+        codes = []
+        for tree, work in zip((parent, change), works):
+            work.mkdir()
+            codes.append(run_tree(tree, work))
+        files = sorted({
+            p.relative_to(w) for w in works for p in w.rglob("*")
+            if p.is_file() and p.parent != w / "in"
+        })
+        differ = 0
+        for rel in files:
+            a, b = (w / rel for w in works)
+            if not (a.exists() and b.exists()) or normalized(a) != normalized(b):
+                print(f"differs: {rel}")
+                differ += 1
+    failed = any(code for tree_codes in codes for code in tree_codes)
+    print(f"{len(files)} outputs compared: {len(files) - differ} byte-identical, {differ} differ")
+    return int(bool(differ) or failed)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
