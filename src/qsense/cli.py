@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .sim.setups import SETUP_KINDS, build_setup
+
 DEFAULT_SEED = 1234
 
 
@@ -26,21 +28,9 @@ def _load_poly(path: str):
     return TrigPoly.from_json_dict(doc)
 
 
-def _build_setup(args):
-    from .sim import build_ghz_setup, build_random_ansatz_setup, build_squeezing_setup
-
-    if args.setup == "ghz":
-        return build_ghz_setup(args.n, noise=args.noise)
-    if args.setup == "squeezing":
-        return build_squeezing_setup(args.n, noise=args.noise)
-    return build_random_ansatz_setup(
-        args.n, layers=args.layers, seed=args.seed, noise=args.noise
-    )
-
-
 def _add_setup_flags(parser, required: bool = True) -> None:
     parser.add_argument(
-        "--setup", choices=("ghz", "squeezing", "random"), required=required,
+        "--setup", choices=SETUP_KINDS, required=required,
         help="built-in sensing setup",
     )
     parser.add_argument("--n", type=int, required=required, help="qubit count")
@@ -55,7 +45,7 @@ def cmd_infer(args) -> int:
     from .inference import infer_response
     from .sim import setup_to_json
 
-    setup = _build_setup(args)
+    setup = build_setup(args.setup, args.n, args.noise, args.layers, args.seed)
     shots = resolve_shots(args.shots, args.n)
     result = infer_response(setup, degree=args.degree, shots=shots, seed=args.seed)
     out = Path(args.out)
@@ -87,17 +77,23 @@ def cmd_sensitivity(args) -> int:
 
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
+    if args.poly and (args.lo is None or args.hi is None):
+        raise ValueError("--poly mode needs an explicit --lo/--hi range")
+    if not args.poly and (args.setup is None or args.n is None):
+        raise ValueError("give --setup and --n, or --poly")
+    if (args.lo is None) != (args.hi is None):
+        raise ValueError("give both --lo and --hi, or neither for the default range")
+    if args.lo is not None and not np.isfinite([args.lo, args.hi]).all():
+        raise ValueError(f"--lo and --hi must be finite, got {args.lo} and {args.hi}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.poly:
         from .inference import sensitivity_curve
         from .trig import write_curve_csv
 
-        if args.lo is None or args.hi is None:
-            raise ValueError("--poly mode needs an explicit --lo/--hi range")
         poly = _load_poly(args.poly)
         grid = np.linspace(args.lo, args.hi, args.points)
         delta_sq, divergent = sensitivity_curve(poly, grid)
+        out.mkdir(parents=True, exist_ok=True)
         write_curve_csv(
             out / "sensitivity.csv",
             grid,
@@ -110,12 +106,13 @@ def cmd_sensitivity(args) -> int:
     from .experiments import resolve_shots, write_sensitivity_csv
     from .inference import sensitivity_error_check
 
-    setup = _build_setup(args)
+    setup = build_setup(args.setup, args.n, args.noise, args.layers, args.seed)
     shots = resolve_shots(args.shots, args.n)
     rng = None if args.lo is None else (args.lo, args.hi)
     report = sensitivity_error_check(
         setup, theta_range=rng, shots=shots, seed=args.seed, points=args.points
     )
+    out.mkdir(parents=True, exist_ok=True)
     write_sensitivity_csv(out / "sensitivity.csv", report)
     dump_json(
         out / "sensitivity.json",

@@ -31,17 +31,8 @@ from .inference import (
     sensitivity_error_check,
     shot_budget,
 )
-from .sim import (
-    SensingSetup,
-    build_ghz_setup,
-    build_random_ansatz_setup,
-    build_squeezing_setup,
-    exact_response,
-    sample_response,
-)
+from .sim import SETUP_KINDS, SensingSetup, build_setup, exact_response, sample_response
 from .trig import TrigPoly, write_curve_csv
-
-SETUP_KINDS = ("ghz", "squeezing", "random")
 
 
 @dataclass(frozen=True)
@@ -167,15 +158,6 @@ def resolve_shots(policy: str, n: int) -> int | None:
     if shots < 1:
         raise ValueError(f"shots policy {policy!r} must be at least 1 shot")
     return shots
-
-
-def make_setup(config: ExperimentConfig, n: int) -> SensingSetup:
-    if config.kind == "ghz":
-        return build_ghz_setup(n, noise=config.noise)
-    if config.kind == "squeezing":
-        return build_squeezing_setup(n, noise=config.noise)
-    ansatz_seed = int(np.random.default_rng([config.base_seed, n, 424242]).integers(2**63))
-    return build_random_ansatz_setup(n, layers=config.layers, seed=ansatz_seed, noise=config.noise)
 
 
 def _trial_seed(base: int, n: int, repeat: int, salt: int = 0) -> int:
@@ -354,7 +336,8 @@ def run_study(name: str, config: ExperimentConfig) -> list:
     rows: list[list] = []
     for n in config.n_values:
         start = time.perf_counter()
-        setup = make_setup(config, n)
+        ansatz_seed = int(np.random.default_rng([config.base_seed, n, 424242]).integers(2**63))
+        setup = build_setup(config.kind, n, config.noise, config.layers, ansatz_seed)
         n_rows, fields, curve = per_n(config, setup, n, resolve_shots(config.shots, n))
         rows += n_rows
         write_curve(out / curve_csv.format(kind=config.kind, n=n), curve)

@@ -147,8 +147,8 @@ def shot_budget(n: int, delta: float, alpha: float) -> int:
     probability >= 1 - alpha: ceil(50 ln(n)^2 ln((4n+2)/alpha) / delta^2)."""
     if n < 2:
         raise ValueError("shot budget needs n >= 2 (the bound degenerates at n = 1)")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("failure probability must lie in (0, 1)")
     raw = 50.0 * math.log(n) ** 2 * math.log((4 * n + 2) / alpha) / delta**2
@@ -253,8 +253,10 @@ def estimate_parameter(
     nonzero residual.
     """
     lo, hi = float(domain[0]), float(domain[1])
-    if not lo < hi:
-        raise ValueError("domain must satisfy lo < hi")
+    if not math.isfinite(measured):
+        raise ValueError(f"measured response must be finite, got {measured}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"domain must be finite with lo < hi, got ({lo}, {hi})")
     deriv = _derivative_values(response, np.linspace(lo, hi, 512))
     signs = np.sign(deriv)
     nonzero = signs[signs != 0]
@@ -273,10 +275,7 @@ def estimate_parameter(
 
 
 def sensitivity(
-    source,
-    theta: float,
-    mode: str | None = None,
-    response_poly: TrigPoly | None = None,
+    source, theta: float, response_poly: TrigPoly | None = None
 ) -> SensitivityPoint:
     """Error-propagation sensitivity (delta theta)^2 = (delta R)^2 / |dR|^2.
 
@@ -287,14 +286,10 @@ def sensitivity(
     inferred value strays outside [-1, 1]).
     """
     if isinstance(source, TrigPoly):
-        if mode not in (None, "inferred"):
-            raise ValueError("a TrigPoly source implies mode='inferred'")
         value = source.evaluate(theta)
         variance = max(0.0, 1.0 - value * value)
         slope = source.derivative().evaluate(theta)
     elif isinstance(source, SensingSetup):
-        if mode not in (None, "exact"):
-            raise ValueError("a SensingSetup source implies mode='exact'")
         value = exact_response(source, theta)
         if source.observable.is_single_pauli:
             variance = max(0.0, 1.0 - value * value)

@@ -8,10 +8,12 @@ from .pauli import (
     UnsupportedMeasurementError,
 )
 from .setups import (
+    SETUP_KINDS,
     SensingSetup,
     ShotEstimate,
     build_ghz_setup,
     build_random_ansatz_setup,
+    build_setup,
     build_squeezing_setup,
     exact_response,
     response_variance,
@@ -22,6 +24,7 @@ from .setups import (
 from .states import DimensionLimitError, QuantumState
 
 __all__ = [
+    "SETUP_KINDS",
     "Channel",
     "DepolarizeOp",
     "DimensionLimitError",
@@ -35,6 +38,7 @@ __all__ = [
     "UnsupportedMeasurementError",
     "build_ghz_setup",
     "build_random_ansatz_setup",
+    "build_setup",
     "build_squeezing_setup",
     "exact_response",
     "response_variance",

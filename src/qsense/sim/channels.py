@@ -126,13 +126,10 @@ class Channel:
             raise ValueError("noisy channel requires the density-matrix path")
         for op in self.ops:
             if isinstance(op, GateOp):
-                mat = op.matrix()
+                tensor = states.apply_unitary(tensor, op.matrix(), op.targets, n, density)
                 if density:
-                    tensor = states.apply_gate_density(tensor, mat, op.targets, n)
                     for q in op.targets:
                         tensor = states.depolarize_qubit(tensor, q, gate_noise, n)
-                else:
-                    tensor = states.apply_gate_pure(tensor, mat, op.targets)
             elif op.scope == "global":
                 tensor = states.depolarize_global(tensor, op.p, n)
             else:

@@ -15,7 +15,10 @@ sin(theta/2) P, which is exact because the terms commute.  Every encoding
 takes this one path, with P applied letter by letter as an index flip and
 a phase (``apply_pauli_letters``).  The density-matrix path is used
 whenever any channel carries noise; otherwise the cheaper statevector path
-runs.
+runs.  Both paths run the same kernels from ``states`` on the raw state
+tensor: a density tensor only adds the conjugate action on its column
+axes, so the path is a flag (``_Prepared.density``) and not a second set
+of functions.
 """
 
 from __future__ import annotations
@@ -31,12 +34,14 @@ from .pauli import EncodingHamiltonian, Observable, PauliString
 from .states import (
     DimensionLimitError,
     QuantumState,
-    pauli_rotation_density,
-    pauli_rotation_pure,
+    expectation,
+    pauli_rotation,
+    second_moment,
 )
 
 DEFAULT_MAX_PURE_QUBITS = 14
 DEFAULT_MAX_DENSITY_QUBITS = 10
+SETUP_KINDS = ("ghz", "squeezing", "random")
 
 
 class ShotEstimate(NamedTuple):
@@ -187,6 +192,18 @@ def build_random_ansatz_setup(
     )
 
 
+def build_setup(kind: str, n: int, noise: float, layers: int, seed: int) -> SensingSetup:
+    """The built-in setup ``kind`` (one of SETUP_KINDS); ``layers`` and
+    ``seed`` only shape the random ansatz."""
+    if kind == "ghz":
+        return build_ghz_setup(n, noise=noise)
+    if kind == "squeezing":
+        return build_squeezing_setup(n, noise=noise)
+    if kind == "random":
+        return build_random_ansatz_setup(n, layers=layers, seed=seed, noise=noise)
+    raise ValueError(f"kind must be one of {SETUP_KINDS}, got {kind!r}")
+
+
 def _angles(theta) -> np.ndarray:
     """Encoding angles as a 1-D float array; rejects NaN and infinities."""
     thetas = np.asarray(theta, dtype=float)
@@ -218,25 +235,14 @@ def _prepare(setup: SensingSetup) -> _Prepared:
     return _Prepared(tensor, density)
 
 
-def _encode(setup: SensingSetup, prepared: _Prepared, theta: float) -> QuantumState:
-    """Encoding, pre-measurement and the resulting state at one angle; the
+def _encode(setup: SensingSetup, prepared: _Prepared, theta: float) -> np.ndarray:
+    """The state tensor after encoding and pre-measurement at one angle; the
     prepared tensor is left untouched."""
     n = setup.n
     tensor, density = prepared
     for term in setup.hamiltonian.terms:
-        if density:
-            tensor = pauli_rotation_density(tensor, term.letters, term.sign, theta, n)
-        else:
-            tensor = pauli_rotation_pure(tensor, term.letters, term.sign, theta)
-    tensor = setup.premeasurement.apply(tensor, n, density, gate_noise=setup.noise)
-    if density:
-        return QuantumState(n, matrix=tensor.reshape(2**n, 2**n))
-    return QuantumState(n, vector=tensor.reshape(-1))
-
-
-def _evolved_state(setup: SensingSetup, theta: float) -> QuantumState:
-    (angle,) = _angles(theta)
-    return _encode(setup, _prepare(setup), angle)
+        tensor = pauli_rotation(tensor, term.letters, term.sign, theta, n, density)
+    return setup.premeasurement.apply(tensor, n, density, gate_noise=setup.noise)
 
 
 def exact_response(setup: SensingSetup, theta) -> float | np.ndarray:
@@ -250,17 +256,20 @@ def exact_response(setup: SensingSetup, theta) -> float | np.ndarray:
     """
     thetas = _angles(theta)
     prepared = _prepare(setup)
-    values = np.array(
-        [_encode(setup, prepared, t).expectation(setup.observable) for t in thetas]
-    )
+    values = np.array([
+        expectation(_encode(setup, prepared, t), setup.observable, prepared.density)
+        for t in thetas
+    ])
     return float(values[0]) if np.ndim(theta) == 0 else values
 
 
 def response_variance(setup: SensingSetup, theta: float) -> float:
     """Observable variance Tr[rho O^2] - Tr[rho O]^2 at angle theta."""
-    state = _evolved_state(setup, theta)
-    mean = state.expectation(setup.observable)
-    return state.second_moment(setup.observable) - mean**2
+    (angle,) = _angles(theta)
+    prepared = _prepare(setup)
+    tensor = _encode(setup, prepared, angle)
+    mean = expectation(tensor, setup.observable, prepared.density)
+    return second_moment(tensor, setup.observable, prepared.density) - mean**2
 
 
 def _measurement_rotation(letters: str) -> Channel:
@@ -315,12 +324,11 @@ def sample_response(
     eigs = setup.observable.measurement_diagonal()
     estimates = []
     for t, s in zip(thetas, seeds):
-        state = _encode(setup, prepared, t)
-        tensor = rotation.apply(state.tensor(), n, density=not state.is_pure)
-        if state.is_pure:
-            probs = np.abs(tensor.reshape(-1)) ** 2
-        else:
+        tensor = rotation.apply(_encode(setup, prepared, t), n, prepared.density)
+        if prepared.density:
             probs = np.diag(tensor.reshape(2**n, 2**n)).real.copy()
+        else:
+            probs = np.abs(tensor.reshape(-1)) ** 2
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum()
         counts = np.random.default_rng(s).multinomial(shots, probs)

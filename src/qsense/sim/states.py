@@ -1,8 +1,12 @@
 """Dense statevector / density-matrix representation and low-level updates.
 
-States are immutable at the API boundary; the applier functions in this
-module work on raw ndarrays shaped ``[2] * n`` (pure) or ``[2] * 2n``
-(density, row axes first) and always return new arrays.
+``QuantumState`` is the validated, immutable wrapper for users.  The
+simulator itself passes raw ndarrays shaped ``[2] * n`` (statevector) or
+``[2] * 2n`` (density tensor, row axes first) between its layers, and has
+one kernel per operation that takes such a tensor and a ``density`` flag.
+On a density tensor an operator acts on the row axes and its complex
+conjugate on the column axes, so U gives U rho U^dagger.  Every kernel
+returns a new array.
 """
 
 from __future__ import annotations
@@ -70,11 +74,6 @@ class QuantumState:
         v[0] = 1.0
         return cls(n, vector=v)
 
-    def to_density(self) -> "QuantumState":
-        if not self.is_pure:
-            return self
-        return QuantumState(self.n, matrix=np.outer(self.vector, self.vector.conj()))
-
     def tensor(self) -> np.ndarray:
         """Writable tensor copy: shape [2]*n (pure) or [2]*2n (density)."""
         if self.is_pure:
@@ -98,44 +97,6 @@ class QuantumState:
         if eigs.min() < -1e-10:
             raise ValueError(f"negative eigenvalue {eigs.min()}")
 
-    def expectation(self, obs: Observable) -> float:
-        """<O> = Tr[rho O], computed term by term without building O."""
-        if obs.n_qubits != self.n:
-            raise ValueError("observable qubit count mismatch")
-        if self.is_pure:
-            psi = self.vector.reshape([2] * self.n)
-            total = 0.0
-            for w, p in obs.terms:
-                phi = apply_pauli_letters(psi, p.letters)
-                total += w * p.sign * np.vdot(psi, phi).real
-            return float(total)
-        rho = self.matrix.reshape([2] * (2 * self.n))
-        total = 0.0
-        for w, p in obs.terms:
-            prod = apply_pauli_letters(rho, p.letters)
-            tr = np.trace(prod.reshape(2**self.n, 2**self.n))
-            total += w * p.sign * tr.real
-        return float(total)
-
-    def second_moment(self, obs: Observable) -> float:
-        """Tr[rho O^2], used for observable variances."""
-        if self.is_pure:
-            psi = self.vector.reshape([2] * self.n)
-            phi = np.zeros_like(psi)
-            for w, p in obs.terms:
-                phi = phi + w * p.sign * apply_pauli_letters(psi, p.letters)
-            return float(np.vdot(phi, phi).real)
-        rho = self.matrix.reshape([2] * (2 * self.n))
-
-        def apply_obs(t: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(t)
-            for w, p in obs.terms:
-                out = out + w * p.sign * apply_pauli_letters(t, p.letters)
-            return out
-
-        prod = apply_obs(apply_obs(rho))
-        return float(np.trace(prod.reshape(2**self.n, 2**self.n)).real)
-
 
 def apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Left-multiply ``mat`` onto the given tensor axes (one axis per qubit)."""
@@ -145,16 +106,14 @@ def apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> 
     return np.moveaxis(t, tuple(range(k)), axes)
 
 
-def apply_gate_pure(psi: np.ndarray, mat: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    return apply_matrix(psi, mat, targets)
-
-
-def apply_gate_density(
-    rho: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], n: int
+def apply_unitary(
+    tensor: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], n: int, density: bool
 ) -> np.ndarray:
-    # U on the row axes, conj(U) on the column axes gives U rho U^dagger.
-    rho = apply_matrix(rho, mat, targets)
-    return apply_matrix(rho, mat.conj(), tuple(n + q for q in targets))
+    """U on the target qubits: U psi, or U rho U^dagger on a density tensor."""
+    tensor = apply_matrix(tensor, mat, targets)
+    if density:
+        tensor = apply_matrix(tensor, mat.conj(), tuple(n + q for q in targets))
+    return tensor
 
 
 def apply_pauli_letters(
@@ -181,24 +140,50 @@ def apply_pauli_letters(
     return out if phased else out.astype(complex)
 
 
-def pauli_rotation_pure(
-    psi: np.ndarray, letters: str, sign: int, theta: float
+def pauli_rotation(
+    tensor: np.ndarray, letters: str, sign: int, theta: float, n: int, density: bool
 ) -> np.ndarray:
-    """exp(-i theta P / 2) |psi> for an involutory signed Pauli string P."""
+    """exp(-i theta P / 2) applied to a state, for an involutory signed Pauli
+    string P: on the row axes, and conjugated on the column axes of a
+    density tensor."""
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
-    return c * psi - 1j * sign * s * apply_pauli_letters(psi, letters)
+    out = c * tensor - 1j * sign * s * apply_pauli_letters(tensor, letters)
+    if density:
+        out = c * out + 1j * sign * s * apply_pauli_letters(
+            out, letters, axis_offset=n, conjugate=True
+        )
+    return out
 
 
-def pauli_rotation_density(
-    rho: np.ndarray, letters: str, sign: int, theta: float, n: int
-) -> np.ndarray:
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    left = c * rho - 1j * sign * s * apply_pauli_letters(rho, letters)
-    return c * left + 1j * sign * s * apply_pauli_letters(
-        left, letters, axis_offset=n, conjugate=True
-    )
+def _apply_observable(tensor: np.ndarray, obs: Observable) -> np.ndarray:
+    out = np.zeros_like(tensor)
+    for w, p in obs.terms:
+        out = out + w * p.sign * apply_pauli_letters(tensor, p.letters)
+    return out
+
+
+def expectation(tensor: np.ndarray, obs: Observable, density: bool) -> float:
+    """<O> = Tr[rho O], term by term without building O: vdot(psi, P psi)
+    on a statevector, the trace of P rho on a density tensor."""
+    dim = 2**obs.n_qubits
+    total = 0.0
+    for w, p in obs.terms:
+        prod = apply_pauli_letters(tensor, p.letters)
+        value = np.trace(prod.reshape(dim, dim)) if density else np.vdot(tensor, prod)
+        total += w * p.sign * value.real
+    return float(total)
+
+
+def second_moment(tensor: np.ndarray, obs: Observable, density: bool) -> float:
+    """Tr[rho O^2], used for observable variances: |O psi|^2 on a
+    statevector, the trace of O O rho on a density tensor."""
+    if density:
+        dim = 2**obs.n_qubits
+        prod = _apply_observable(_apply_observable(tensor, obs), obs)
+        return float(np.trace(prod.reshape(dim, dim)).real)
+    phi = _apply_observable(tensor, obs)
+    return float(np.vdot(phi, phi).real)
 
 
 def depolarize_qubit(rho: np.ndarray, q: int, p: float, n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,12 @@ def test_budget_schedule_flag(capsys):
 def test_budget_missing_args_is_exit_2(capsys):
     assert main(["budget", "--n", "2"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["inf", "nan"])
+def test_budget_rejects_non_finite_delta(capsys, delta):
+    assert main(["budget", "--n", "4", "--delta", delta, "--alpha", "0.05"]) == 2
+    assert "delta" in capsys.readouterr().err
 
 
 def test_infer_curve_matches_cos_4theta(tmp_path):
@@ -72,6 +79,20 @@ def test_estimate_accepts_inference_json(tmp_path, capsys):
     assert abs(doc["theta_star"]) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "measured, lo, hi", [("nan", "0.0", "1.0"), ("0.5", "-inf", "1.0"), ("0.5", "0.0", "inf")]
+)
+def test_estimate_rejects_non_finite_inputs(tmp_path, capsys, measured, lo, hi):
+    poly_file = tmp_path / "cos.json"
+    poly_file.write_text(json.dumps(TrigPoly([1.0], [0.0], 0.0).to_json_dict()))
+    out = tmp_path / "e"
+    assert main(["estimate", "--poly", str(poly_file), "--measured", measured,
+                 f"--lo={lo}", f"--hi={hi}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+    assert not out.exists()
+
+
 def test_sensitivity_setup_mode(tmp_path):
     out = tmp_path / "s"
     assert main(["sensitivity", "--setup", "ghz", "--n", "3", "--shots", "exact",
@@ -112,6 +133,29 @@ def test_sensitivity_poly_mode_needs_range(tmp_path, capsys):
     poly_file = tmp_path / "cos.json"
     poly_file.write_text(json.dumps(TrigPoly([1.0], [0.0], 0.0).to_json_dict()))
     assert main(["sensitivity", "--poly", str(poly_file), "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--setup", "ghz", "--n", "3", "--lo", "0.1"], "--hi"),
+        (["--setup", "ghz", "--n", "3", "--hi", "0.1"], "--hi"),
+        (["--poly", "cos.json", "--lo", "0.1"], "--lo/--hi"),
+        (["--poly", "cos.json", "--hi", "0.1"], "--lo/--hi"),
+        (["--n", "3"], "--setup"),
+        (["--setup", "ghz"], "--setup"),
+        (["--setup", "ghz", "--n", "3", "--lo=nan", "--hi", "0.1"], "finite"),
+        (["--poly", "cos.json", "--lo", "0.1", "--hi", "inf"], "finite"),
+    ],
+)
+def test_sensitivity_range_checked_before_out_is_created(tmp_path, capsys, monkeypatch,
+                                                          args, message):
+    monkeypatch.chdir(tmp_path)
+    Path("cos.json").write_text(json.dumps(TrigPoly([1.0], [0.0], 0.0).to_json_dict()))
+    assert main(["sensitivity", *args, "--out", "x"]) == 2
+    assert message in capsys.readouterr().err
+    assert not Path("x").exists()
 
 
 def test_study_command_exact_inference(tmp_path, capsys):

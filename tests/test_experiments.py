@@ -8,7 +8,6 @@ from qsense.cli import main
 from qsense.experiments import (
     ExperimentConfig,
     InferenceRecord,
-    make_setup,
     resolve_shots,
     run_study,
 )
@@ -27,6 +26,9 @@ def test_resolve_shots_policies():
         resolve_shots("budget:0.1", 4)
     for bad in ("0", "-4"):
         with pytest.raises(ValueError, match="at least 1 shot"):
+            resolve_shots(bad, 4)
+    for bad in ("budget:inf,0.05", "budget:nan,0.05", "budget:-inf,0.05"):
+        with pytest.raises(ValueError, match="delta"):
             resolve_shots(bad, 4)
 
 
@@ -53,10 +55,13 @@ def test_config_validation_and_round_trip(tmp_path):
     for noise in (math.nan, -0.1, 1.5):
         with pytest.raises(ValueError, match="noise"):
             ExperimentConfig(kind="ghz", n_values=(2,), noise=noise)
-    for shots, n_values in [("0", [2]), ("-4", [2]), ("polylog", [1, 2]), ("budget:0.1,0.05", [2, 1])]:
+    bad_shots = [("0", [2], "shots"), ("-4", [2], "shots"), ("polylog", [1, 2], "n >= 2"),
+                 ("budget:0.1,0.05", [2, 1], "n >= 2"), ("budget:inf,0.05", [2], "delta"),
+                 ("budget:nan,0.05", [3], "delta")]
+    for shots, n_values, message in bad_shots:
         doc = {"kind": "ghz", "n_values": n_values, "shots": shots,
                "out_dir": str(tmp_path / "out"), "study": "inference"}
-        with pytest.raises(ValueError, match="shots|n >= 2"):
+        with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json_dict(doc)
         (tmp_path / "config.json").write_text(json.dumps(doc))
         assert main(["study", "--config", str(tmp_path / "config.json")]) == 2
@@ -69,13 +74,6 @@ def test_inference_record_median_le_max():
             n=2, runtime_seconds=0.0, median_error=2.0, max_error=1.0,
             bound_value=0.0, all_trials_within_bound=True,
         )
-
-
-def test_make_setup_kinds():
-    config = ExperimentConfig(kind="random", n_values=(3,), layers=2, base_seed=5)
-    setup = make_setup(config, 3)
-    assert setup.kind == "random"
-    assert setup == make_setup(config, 3)  # deterministic ansatz seed
 
 
 def test_inference_study_exact_is_machine_precise(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qsense.sim import (
+    SETUP_KINDS,
     DimensionLimitError,
     Observable,
     PauliString,
@@ -12,6 +13,7 @@ from qsense.sim import (
     UnsupportedMeasurementError,
     build_ghz_setup,
     build_random_ansatz_setup,
+    build_setup,
     build_squeezing_setup,
     exact_response,
     response_variance,
@@ -19,9 +21,10 @@ from qsense.sim import (
     setup_from_json,
     setup_to_json,
 )
-from qsense.sim.channels import Channel, GateOp
+from qsense.sim.channels import Channel, DepolarizeOp, GateOp
 from qsense.sim.pauli import EncodingHamiltonian
-from qsense.sim.states import QuantumState, pauli_rotation_pure
+from qsense.sim.setups import _encode, _prepare
+from qsense.sim.states import QuantumState, pauli_rotation
 from qsense.trig import SampleVector, coeffs_closed_form, equidistant_nodes
 
 ALL_BUILDERS = [
@@ -125,9 +128,9 @@ def test_encode_then_unencode_is_identity():
         theta = float(rng.uniform(0, 2 * math.pi))
         out = tensor
         for term in setup.hamiltonian.terms:
-            out = pauli_rotation_pure(out, term.letters, term.sign, theta)
+            out = pauli_rotation(out, term.letters, term.sign, theta, n, False)
         for term in setup.hamiltonian.terms:
-            out = pauli_rotation_pure(out, term.letters, term.sign, -theta)
+            out = pauli_rotation(out, term.letters, term.sign, -theta, n, False)
         assert np.abs(out - tensor).max() < 1e-10
 
 
@@ -241,11 +244,8 @@ def test_variance_matches_dense_oracle():
     assert var >= -1e-12
     # oracle: 1 - R^2 does NOT hold for the averaged-X observable, but the
     # dense matrix moment does
-    from qsense.sim.setups import _evolved_state
-
-    state = _evolved_state(setup, theta)
     obs_mat = setup.observable.matrix()
-    rho_vec = state.vector
+    rho_vec = _encode(setup, _prepare(setup), theta).reshape(-1)
     mean = (rho_vec.conj() @ obs_mat @ rho_vec).real
     second = (rho_vec.conj() @ obs_mat @ obs_mat @ rho_vec).real
     assert abs(var - (second - mean**2)) < 1e-12
@@ -293,6 +293,39 @@ def test_array_sample_response_matches_scalar_calls(setup):
     assert batched == [sample_response(setup, t, 300, seed=s) for t, s in zip(thetas, seeds)]
 
 
+def _zero_noise_setups():
+    from qsense.variational import TrainableMeasurement
+
+    measurement = TrainableMeasurement.convolutional(4)
+    params = np.random.default_rng(5).uniform(0.0, 2 * math.pi, measurement.parameter_count)
+    return [make() for make in ALL_BUILDERS] + [measurement.setup(params)]
+
+
+@pytest.mark.parametrize("setup", _zero_noise_setups(), ids=lambda s: s.kind)
+def test_pure_and_density_paths_agree_at_zero_noise(setup):
+    # a zero-probability depolarizing step changes nothing but the path taken
+    ops = setup.premeasurement.ops + (DepolarizeOp(0.0),)
+    forced = dataclasses.replace(setup, premeasurement=Channel(ops))
+    assert not _prepare(setup).density and _prepare(forced).density
+    thetas = np.random.default_rng(24).uniform(0.0, 2 * math.pi, 9)
+    pure = exact_response(setup, thetas)
+    assert np.abs(exact_response(forced, thetas) - pure).max() < 1e-12
+    for theta in thetas:
+        assert abs(response_variance(forced, theta) - response_variance(setup, theta)) < 1e-12
+
+
+def test_build_setup_kinds():
+    for kind in SETUP_KINDS:
+        setup = build_setup(kind, 3, 0.01, 2, 5)
+        assert (setup.kind, setup.n, setup.noise) == (kind, 3, 0.01)
+        assert setup == build_setup(kind, 3, 0.01, 2, 5)  # deterministic ansatz seed
+    ansatz = build_setup("random", 3, 0.0, 2, 5)
+    assert ansatz == build_random_ansatz_setup(3, layers=2, seed=5)
+    assert ansatz != build_setup("random", 3, 0.0, 2, 6)
+    with pytest.raises(ValueError, match="kind"):
+        build_setup("bogus", 3, 0.0, 2, 5)
+
+
 def _oracle_setups():
     from qsense.variational import TrainableMeasurement
 
@@ -332,20 +365,17 @@ def _oracle_setups():
 def test_encoding_matches_dense_oracle(setup):
     from scipy.linalg import expm
 
-    from qsense.sim.setups import _encode, _prepare
-
     prepared = _prepare(setup)
     dim = 2**setup.n
     start = prepared.tensor.reshape(dim, -1)
     for theta in np.random.default_rng(23).uniform(-math.pi, 3 * math.pi, 5):
-        state = _encode(setup, prepared, theta)
         u = expm(-0.5j * theta * setup.hamiltonian.matrix())
         encoded = u @ start @ u.conj().T if prepared.density else u @ start.reshape(-1)
         shape = [2] * (2 * setup.n if prepared.density else setup.n)
         oracle = setup.premeasurement.apply(
             encoded.reshape(shape), setup.n, prepared.density, gate_noise=setup.noise
         ).reshape(encoded.shape)
-        got = state.matrix if prepared.density else state.vector
+        got = _encode(setup, prepared, theta).reshape(encoded.shape)
         assert np.abs(got - oracle).max() < 1e-12
 
 

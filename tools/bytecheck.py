@@ -5,6 +5,7 @@
 Runs the same fixed set of ``qsense`` commands under each tree (imported
 from ``<tree>/src``): ``infer`` exact and sampled on the ghz, random and
 squeezing setups with and without noise, six ``study`` configs,
+``estimate --out`` on one exact and one sampled ``infer`` output,
 ``sensitivity`` in setup and ``--poly`` mode and ``train --epochs 20``.
 Every output file is then compared byte for byte, except that
 ``runtime_seconds`` in ``summary.json`` and ``out_dir`` in ``config.json``
@@ -63,6 +64,10 @@ def commands(work: Path) -> list[list[str]]:
             dict(fields, out_dir=f"study_{k}_{study}", test_points=400, base_seed=k)
         ))
         cmds.append(["study", "--study", study, "--config", config])
+    for poly, measured, lo, hi in [("infer_ghz_10_0.0_exact", "0.3", "0.0", "0.15"),
+                                   ("infer_ghz_7_0.01_1000", "-0.2", "0.1", "0.4")]:
+        cmds.append(["estimate", "--poly", f"{poly}/inference.json", "--measured", measured,
+                     "--lo", lo, "--hi", hi, "--out", f"estimate_{poly}"])
     cmds.append(["sensitivity", "--setup", "ghz", "--n", "4", "--shots", "1000",
                  "--out", "sens_setup"])
     cmds.append(["sensitivity", "--setup", "squeezing", "--n", "4", "--shots", "exact",
