@@ -66,6 +66,8 @@ class ExperimentConfig:
         for name in ("repeats", "test_points", "prediction_fields"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.layers < 0:
+            raise ValueError(f"layers must be >= 0, got {self.layers}")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError(f"noise probability {self.noise} outside [0, 1]")
         cap = 8 if self.noise > 0 else 12

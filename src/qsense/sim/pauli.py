@@ -77,11 +77,6 @@ class PauliString:
     def n_qubits(self) -> int:
         return len(self.letters)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Qubit indices where the string acts non-trivially."""
-        return tuple(q for q, ch in enumerate(self.letters) if ch != "I")
-
     def commutes(self, other: "PauliString") -> bool:
         """Two Pauli strings commute iff they differ on an even number of
         positions where both act non-trivially."""

@@ -8,7 +8,14 @@ A setup evaluates the response
 where the encoding S_theta conjugates by exp(-i theta H / 2) and H is a sum
 of pairwise-commuting involutory Pauli terms.  Only S_theta depends on
 theta, so a call prepares E(|0..0><0..0|) once (gate noise included) and
-runs encoding, pre-measurement and readout for each of its angles.
+runs encoding and pre-measurement on a stack of its angles: the prepared
+tensor is broadcast along a leading batch axis, one entry per angle, and
+each rotation, gate and depolarizing step runs once per stack.  A stack
+holds at most ``MAX_STACK_AMPLITUDES`` (2**14) amplitudes, so a call's
+angles run in chunks (4 at a time for a 12-qubit statevector, one at a
+time for a density tensor of 7 or more qubits).  The readout stays per
+angle, one ``expectation`` or one multinomial draw per stack entry, and
+every value equals the one a call with that angle alone returns.
 
 The encoding is a product of per-term rotations cos(theta/2) - i
 sin(theta/2) P, which is exact because the terms commute.  Every encoding
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,6 +48,8 @@ from .states import (
 
 DEFAULT_MAX_PURE_QUBITS = 14
 DEFAULT_MAX_DENSITY_QUBITS = 10
+# amplitudes in one stack of encoded states: 256 KiB, one 7-qubit density tensor
+MAX_STACK_AMPLITUDES = 2**14
 SETUP_KINDS = ("ghz", "squeezing", "random")
 
 
@@ -163,6 +172,8 @@ def build_random_ansatz_setup(
     readout averages X over all qubits."""
     if n < 2:
         raise ValueError("random-ansatz setup needs n >= 2")
+    if layers < 0:
+        raise ValueError(f"layers must be >= 0, got {layers}")
     rng = np.random.default_rng(seed)
     ops: list[GateOp] = []
     for _ in range(layers):
@@ -235,14 +246,41 @@ def _prepare(setup: SensingSetup) -> _Prepared:
     return _Prepared(tensor, density)
 
 
-def _encode(setup: SensingSetup, prepared: _Prepared, theta: float) -> np.ndarray:
-    """The state tensor after encoding and pre-measurement at one angle; the
-    prepared tensor is left untouched."""
+def _encode(setup: SensingSetup, prepared: _Prepared, thetas: np.ndarray) -> np.ndarray:
+    """The stack of state tensors after encoding and pre-measurement, one
+    entry per angle of the 1-D array ``thetas``; the prepared tensor is
+    left untouched."""
     n = setup.n
     tensor, density = prepared
+    tensor = np.broadcast_to(tensor, (len(thetas),) + tensor.shape)
     for term in setup.hamiltonian.terms:
-        tensor = pauli_rotation(tensor, term.letters, term.sign, theta, n, density)
+        tensor = pauli_rotation(tensor, term.letters, term.sign, thetas, n, density)
     return setup.premeasurement.apply(tensor, n, density, gate_noise=setup.noise)
+
+
+def _read_states(
+    setup: SensingSetup,
+    prepared: _Prepared,
+    thetas: np.ndarray,
+    readout: Callable[[np.ndarray], object],
+    basis: Channel = Channel(),
+) -> list:
+    """``readout(state)`` of each angle's state after encoding,
+    pre-measurement and ``basis``, in angle order.
+
+    The angles run in consecutive stacks of at most MAX_STACK_AMPLITUDES
+    amplitudes (at least one angle each).  No name holds a stack, so each
+    is freed once read and before the next is built: with one angle per
+    stack, a call holds no more state buffers at once than a loop over
+    single angles would.
+    """
+    size = max(1, MAX_STACK_AMPLITUDES // prepared.tensor.size)
+    values = []
+    for start in range(0, len(thetas), size):
+        values.extend(map(readout, basis.apply(
+            _encode(setup, prepared, thetas[start : start + size]), setup.n, prepared.density
+        )))
+    return values
 
 
 def exact_response(setup: SensingSetup, theta) -> float | np.ndarray:
@@ -250,26 +288,30 @@ def exact_response(setup: SensingSetup, theta) -> float | np.ndarray:
 
     ``theta`` is a float, giving a float, or a 1-D array of angles, giving
     an array of the same length.  The preparation runs once per call and
-    the encoding and pre-measurement once per angle, so each angle's value
-    is the one a scalar call returns.  NaN or infinite angles raise
-    ValueError.
+    the encoding and pre-measurement once per stack of angles, and each
+    angle's value is the one a scalar call returns.  NaN or infinite
+    angles raise ValueError.
     """
     thetas = _angles(theta)
     prepared = _prepare(setup)
-    values = np.array([
-        expectation(_encode(setup, prepared, t), setup.observable, prepared.density)
-        for t in thetas
-    ])
+    obs, density = setup.observable, prepared.density
+    values = np.array(
+        _read_states(setup, prepared, thetas, lambda state: expectation(state, obs, density))
+    )
     return float(values[0]) if np.ndim(theta) == 0 else values
 
 
-def response_variance(setup: SensingSetup, theta: float) -> float:
-    """Observable variance Tr[rho O^2] - Tr[rho O]^2 at angle theta."""
-    (angle,) = _angles(theta)
+def response_variance(setup: SensingSetup, theta) -> float | np.ndarray:
+    """Observable variance Tr[rho O^2] - Tr[rho O]^2 at angle theta; a
+    float or a 1-D array of angles, as in ``exact_response``."""
+    thetas = _angles(theta)
     prepared = _prepare(setup)
-    tensor = _encode(setup, prepared, angle)
-    mean = expectation(tensor, setup.observable, prepared.density)
-    return second_moment(tensor, setup.observable, prepared.density) - mean**2
+    obs, density = setup.observable, prepared.density
+    values = np.array(_read_states(
+        setup, prepared, thetas,
+        lambda state: second_moment(state, obs, density) - expectation(state, obs, density) ** 2,
+    ))
+    return float(values[0]) if np.ndim(theta) == 0 else values
 
 
 def _measurement_rotation(letters: str) -> Channel:
@@ -302,7 +344,9 @@ def sample_response(
     ShotEstimates; ``seed`` is then a sequence of one seed per angle and
     angle k draws from ``default_rng(seed[k])``, so each estimate equals the
     scalar call at that angle and seed.  As in ``exact_response`` the
-    preparation runs once per call.  NaN or infinite angles raise ValueError.
+    preparation runs once per call and the encoding, pre-measurement and
+    basis rotation once per stack of angles.  NaN or infinite angles raise
+    ValueError.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -322,20 +366,22 @@ def sample_response(
     n = setup.n
     rotation = _measurement_rotation(letters)
     eigs = setup.observable.measurement_diagonal()
-    estimates = []
-    for t, s in zip(thetas, seeds):
-        tensor = rotation.apply(_encode(setup, prepared, t), n, prepared.density)
-        if prepared.density:
-            probs = np.diag(tensor.reshape(2**n, 2**n)).real.copy()
+    seeds = iter(seeds)
+
+    def draw(tensor: np.ndarray) -> ShotEstimate:
+        if prepared.density:  # the diagonal as a view, without copying all 4**n entries
+            probs = np.einsum(tensor, list(range(n)) * 2, list(range(n))).real.reshape(-1)
         else:
             probs = np.abs(tensor.reshape(-1)) ** 2
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum()
-        counts = np.random.default_rng(s).multinomial(shots, probs)
+        counts = np.random.default_rng(next(seeds)).multinomial(shots, probs)
         mean = float(counts @ eigs) / shots
         second = float(counts @ (eigs**2)) / shots
         variance = max(second - mean**2, 0.0)
-        estimates.append(ShotEstimate(mean, shots, math.sqrt(variance / shots)))
+        return ShotEstimate(mean, shots, math.sqrt(variance / shots))
+
+    estimates = _read_states(setup, prepared, thetas, draw, rotation)
     return estimates[0] if scalar else estimates
 
 

@@ -6,7 +6,20 @@ simulator itself passes raw ndarrays shaped ``[2] * n`` (statevector) or
 one kernel per operation that takes such a tensor and a ``density`` flag.
 On a density tensor an operator acts on the row axes and its complex
 conjugate on the column axes, so U gives U rho U^dagger.  Every kernel
-returns a new array.
+returns a new array, except that a depolarizing step with p = 0 returns
+its input.
+
+A tensor may carry leading batch axes, for example ``(B, 2, ..., 2)``
+for B encoding angles: the kernels find the qubit axes among the trailing
+``n`` (statevector) or ``2n`` (density) axes, ``lead = tensor.ndim - n``
+or ``tensor.ndim - 2n`` axes in, and treat every leading index as its own
+state.  ``pauli_rotation`` then takes one angle per batch entry.  A stack
+gives each state the same values as running it alone (``apply_unitary``
+runs the states of a stack one by one where a joint BLAS product would
+round them differently); the readouts (``expectation``,
+``second_moment``) take one unbatched state.  ``setups`` builds the
+stacks and bounds each at ``MAX_STACK_AMPLITUDES`` = 2**14 amplitudes
+(256 KiB), so a stack never outgrows one 7-qubit density tensor.
 """
 
 from __future__ import annotations
@@ -106,13 +119,29 @@ def apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> 
     return np.moveaxis(t, tuple(range(k)), axes)
 
 
+def _lead(tensor: np.ndarray, n: int, density: bool) -> int:
+    """The number of leading batch axes in front of the qubit axes."""
+    return tensor.ndim - (2 * n if density else n)
+
+
 def apply_unitary(
     tensor: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], n: int, density: bool
 ) -> np.ndarray:
-    """U on the target qubits: U psi, or U rho U^dagger on a density tensor."""
-    tensor = apply_matrix(tensor, mat, targets)
+    """U on the target qubits: U psi, or U rho U^dagger on a density tensor.
+
+    The contraction is one BLAS product whose columns are the states'
+    untouched amplitudes.  BLAS rounds the trailing columns of a product
+    whose column count is not a multiple of 4 in a separate kernel, so a
+    stack whose states leave fewer than two qubit axes untouched (1- and
+    2-qubit statevectors, a 2-qubit gate on a 3-qubit statevector, 1-qubit
+    density tensors) runs state by state.
+    """
+    lead = _lead(tensor, n, density)
+    if lead and tensor.ndim - lead - len(targets) < 2:
+        return np.stack([apply_unitary(t, mat, targets, n, density) for t in tensor])
+    tensor = apply_matrix(tensor, mat, tuple(lead + q for q in targets))
     if density:
-        tensor = apply_matrix(tensor, mat.conj(), tuple(n + q for q in targets))
+        tensor = apply_matrix(tensor, mat.conj(), tuple(lead + n + q for q in targets))
     return tensor
 
 
@@ -140,19 +169,35 @@ def apply_pauli_letters(
     return out if phased else out.astype(complex)
 
 
+def _scaled(factor, fresh: np.ndarray) -> np.ndarray:
+    """factor * fresh, written over ``fresh`` (an array no one else holds)."""
+    return np.multiply(factor, fresh, out=fresh)
+
+
 def pauli_rotation(
-    tensor: np.ndarray, letters: str, sign: int, theta: float, n: int, density: bool
+    tensor: np.ndarray, letters: str, sign: int, theta, n: int, density: bool
 ) -> np.ndarray:
     """exp(-i theta P / 2) applied to a state, for an involutory signed Pauli
     string P: on the row axes, and conjugated on the column axes of a
-    density tensor."""
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    out = c * tensor - 1j * sign * s * apply_pauli_letters(tensor, letters)
+    density tensor.
+
+    ``theta`` is a float, or a 1-D array of one angle per entry of a
+    ``(B, 2, ..., 2)`` stack.  Each angle's cos and sin come from ``math``
+    and its coefficient ``1j * sign * sin`` is formed as a Python complex,
+    so every entry gets the values of the call with that angle alone.  The
+    products are written over the arrays that hold them, which saves a
+    state-sized temporary per step.
+    """
+    lead = _lead(tensor, n, density)
+    shape = np.shape(theta) + (1,) * (tensor.ndim - lead)
+    c = np.array([math.cos(t / 2.0) for t in np.ravel(theta)], dtype=complex).reshape(shape)
+    s = np.array([1j * sign * math.sin(t / 2.0) for t in np.ravel(theta)]).reshape(shape)
+    out = np.multiply(c, tensor)
+    np.subtract(out, _scaled(s, apply_pauli_letters(tensor, letters, lead)), out=out)
     if density:
-        out = c * out + 1j * sign * s * apply_pauli_letters(
-            out, letters, axis_offset=n, conjugate=True
-        )
+        turned = _scaled(s, apply_pauli_letters(out, letters, lead + n, conjugate=True))
+        np.multiply(c, out, out=out)
+        np.add(out, turned, out=out)
     return out
 
 
@@ -195,10 +240,11 @@ def depolarize_qubit(rho: np.ndarray, q: int, p: float, n: int) -> np.ndarray:
     """
     if p == 0.0:
         return rho
+    lead = _lead(rho, n, True)
     out = (1.0 - 0.75 * p) * rho
     for ch in "XYZ":
-        t = apply_pauli_letters(rho, "I" * q + ch, axis_offset=0)
-        t = apply_pauli_letters(t, "I" * q + ch, axis_offset=n, conjugate=True)
+        t = apply_pauli_letters(rho, "I" * q + ch, axis_offset=lead)
+        t = apply_pauli_letters(t, "I" * q + ch, axis_offset=lead + n, conjugate=True)
         out = out + (p / 4.0) * t
     return out
 
@@ -208,6 +254,7 @@ def depolarize_global(rho: np.ndarray, p: float, n: int) -> np.ndarray:
     if p == 0.0:
         return rho
     dim = 2**n
-    flat = (1.0 - p) * rho.reshape(dim, dim)
+    batch = rho.shape[: _lead(rho, n, True)]
+    flat = (1.0 - p) * rho.reshape(batch + (dim, dim))
     flat = flat + (p / dim) * np.eye(dim)
-    return flat.reshape([2] * (2 * n))
+    return flat.reshape(batch + (2,) * (2 * n))

@@ -46,6 +46,20 @@ def test_infer_invalid_n_is_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_negative_layers_is_exit_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "inf"
+    assert main(["infer", "--setup", "random", "--n", "3", "--layers", "-2",
+                 "--out", str(out)]) == 2
+    assert "layers" in capsys.readouterr().err
+    assert not out.exists()
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"kind": "random", "n_values": [3], "layers": -2,
+                                    "out_dir": str(tmp_path / "res")}))
+    assert main(["study", "--study", "inference", "--config", str(cfg_file)]) == 2
+    assert "layers" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_infer_unknown_flag_is_exit_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["infer", "--setup", "ghz", "--n", "2", "--out", str(tmp_path), "--bogus"])

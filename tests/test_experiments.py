@@ -52,6 +52,9 @@ def test_config_validation_and_round_trip(tmp_path):
         ExperimentConfig(kind="ghz", n_values=(2,), test_points=0)
     with pytest.raises(ValueError, match="prediction_fields"):
         ExperimentConfig(kind="ghz", n_values=(2,), prediction_fields=0)
+    for kind in ("random", "ghz"):
+        with pytest.raises(ValueError, match="layers"):
+            ExperimentConfig(kind=kind, n_values=(3,), layers=-1)
     for noise in (math.nan, -0.1, 1.5):
         with pytest.raises(ValueError, match="noise"):
             ExperimentConfig(kind="ghz", n_values=(2,), noise=noise)

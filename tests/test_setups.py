@@ -21,6 +21,7 @@ from qsense.sim import (
     setup_from_json,
     setup_to_json,
 )
+from qsense.sim import setups
 from qsense.sim.channels import Channel, DepolarizeOp, GateOp
 from qsense.sim.pauli import EncodingHamiltonian
 from qsense.sim.setups import _encode, _prepare
@@ -93,6 +94,14 @@ def test_random_ansatz_deterministic_given_seed():
     assert a.preparation == b.preparation
     c = build_random_ansatz_setup(3, layers=4, seed=10)
     assert a.preparation != c.preparation
+
+
+def test_random_ansatz_rejects_negative_layers():
+    with pytest.raises(ValueError, match="layers"):
+        build_random_ansatz_setup(3, layers=-2)
+    with pytest.raises(ValueError, match="layers"):
+        build_setup("random", 3, 0.0, -1, 0)
+    assert build_random_ansatz_setup(3, layers=0).preparation == Channel()
 
 
 def test_random_ansatz_observable_weight_sum():
@@ -245,7 +254,7 @@ def test_variance_matches_dense_oracle():
     # oracle: 1 - R^2 does NOT hold for the averaged-X observable, but the
     # dense matrix moment does
     obs_mat = setup.observable.matrix()
-    rho_vec = _encode(setup, _prepare(setup), theta).reshape(-1)
+    rho_vec = _encode(setup, _prepare(setup), np.array([theta]))[0].reshape(-1)
     mean = (rho_vec.conj() @ obs_mat @ rho_vec).real
     second = (rho_vec.conj() @ obs_mat @ obs_mat @ rho_vec).real
     assert abs(var - (second - mean**2)) < 1e-12
@@ -281,7 +290,7 @@ def test_array_exact_response_matches_scalar_loop(setup):
     batched = exact_response(setup, thetas)
     assert isinstance(batched, np.ndarray) and batched.shape == thetas.shape
     looped = np.array([exact_response(setup, t) for t in thetas])
-    assert np.abs(batched - looped).max() < 1e-12
+    assert np.array_equal(batched, looped)
     assert isinstance(exact_response(setup, float(thetas[0])), float)
 
 
@@ -291,6 +300,45 @@ def test_array_sample_response_matches_scalar_calls(setup):
     seeds = [[5, k] for k in range(len(thetas))]
     batched = sample_response(setup, thetas, 300, seed=seeds)
     assert batched == [sample_response(setup, t, 300, seed=s) for t, s in zip(thetas, seeds)]
+
+
+def _batching_setups():
+    """Setups whose stacks hold a few states: 12-qubit statevectors and
+    6-qubit density tensors (4 per stack), an 11-qubit trainable
+    measurement (8 per stack), explicit global and local depolarizing steps
+    in a pre-measurement, and states too small to contract as a stack (a
+    1-qubit density tensor, 2- and 3-qubit trainable measurements)."""
+    from qsense.variational import TrainableMeasurement
+
+    cases = [build_setup(kind, 12, 0.0, 2, 5) for kind in SETUP_KINDS]
+    cases += [build_setup(kind, 6, 0.02, 2, 5) for kind in SETUP_KINDS]
+    rng = np.random.default_rng(6)
+    for n in (11, 2, 3):
+        measurement = TrainableMeasurement.convolutional(n)
+        cases.append(measurement.setup(rng.uniform(0.0, 2 * math.pi, measurement.parameter_count)))
+    depolarized = Channel((GateOp("h", (2,)), DepolarizeOp(0.05, scope="global"),
+                           DepolarizeOp(0.03, targets=(0, 3)), GateOp("cnot", (3, 1))))
+    cases.append(dataclasses.replace(build_ghz_setup(6), premeasurement=depolarized,
+                                     kind="depolarized"))
+    return cases + [build_ghz_setup(1, noise=0.02)]
+
+
+@pytest.mark.parametrize("setup", _batching_setups(), ids=lambda s: f"{s.kind}{s.n}-{s.noise}")
+def test_batched_and_looped_simulators_agree(setup, monkeypatch):
+    if setup.n <= 3:  # shrink the stacks of small states to a few states each
+        monkeypatch.setattr(setups, "MAX_STACK_AMPLITUDES", 16)
+    per_stack = max(1, setups.MAX_STACK_AMPLITUDES // _prepare(setup).tensor.size)
+    assert per_stack <= 8
+    rng = np.random.default_rng(setup.n)
+    for count in (1, per_stack, 2 * per_stack + 1):
+        thetas = rng.uniform(-2 * math.pi, 4 * math.pi, count)
+        seeds = [[9, k] for k in range(count)]
+        looped = [exact_response(setup, float(t)) for t in thetas]
+        assert np.array_equal(exact_response(setup, thetas), looped)
+        looped = [response_variance(setup, float(t)) for t in thetas]
+        assert np.array_equal(response_variance(setup, thetas), looped)
+        looped = [sample_response(setup, float(t), 200, seed=s) for t, s in zip(thetas, seeds)]
+        assert sample_response(setup, thetas, 200, seed=seeds) == looped
 
 
 def _zero_noise_setups():
@@ -375,7 +423,7 @@ def test_encoding_matches_dense_oracle(setup):
         oracle = setup.premeasurement.apply(
             encoded.reshape(shape), setup.n, prepared.density, gate_noise=setup.noise
         ).reshape(encoded.shape)
-        got = _encode(setup, prepared, theta).reshape(encoded.shape)
+        got = _encode(setup, prepared, np.array([theta]))[0].reshape(encoded.shape)
         assert np.abs(got - oracle).max() < 1e-12
 
 

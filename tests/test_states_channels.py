@@ -9,7 +9,11 @@ from qsense.sim.states import (
     QuantumState,
     apply_matrix,
     apply_pauli_letters,
+    apply_unitary,
+    depolarize_global,
+    depolarize_qubit,
     expectation,
+    pauli_rotation,
     second_moment,
 )
 
@@ -138,3 +142,54 @@ def test_pauli_letters_equal_matrix_contractions(n):
                     out = apply_pauli_letters(tensor, letters, offset, conjugate)
                     assert np.array_equal(out, expected), (letters, offset, conjugate)
                     assert not np.shares_memory(out, tensor)
+
+
+def _stack_kernels(n, density, thetas):
+    """(name, batched kernel, per-state kernel) for every stack-aware
+    kernel; the per-state kernel takes the state and its stack index."""
+    gates = [(GateOp("ry", (n - 1,), (1.1,)).matrix(), (n - 1,))]
+    if n > 1:
+        gates.append((GateOp("cnot", (n - 1, 0)).matrix(), (n - 1, 0)))
+    if n > 2:
+        gates.append((GateOp("rxx", (0, 2), (0.4,)).matrix(), (0, 2)))
+    kernels = []
+    for mat, targets in gates:
+        kernels.append((f"unitary{targets}",
+                        lambda t, m=mat, q=targets: apply_unitary(t, m, q, n, density),
+                        lambda t, k, m=mat, q=targets: apply_unitary(t, m, q, n, density)))
+    for letters, sign in (("XYZ"[:n], 1), ("Y" * n, -1), ("I" * (n - 1) + "Z", 1)):
+        kernels.append((f"rotation {letters}",
+                        lambda t, p=letters, g=sign: pauli_rotation(t, p, g, thetas, n, density),
+                        lambda t, k, p=letters, g=sign: pauli_rotation(
+                            t, p, g, float(thetas[k]), n, density)))
+        for offset in (0, n) if density else (0,):
+            kernels.append((f"letters {letters}+{offset}",
+                            lambda t, p=letters, o=offset: apply_pauli_letters(t, p, 1 + o, True),
+                            lambda t, k, p=letters, o=offset: apply_pauli_letters(t, p, o, True)))
+    if density:
+        for q in range(n):
+            kernels.append((f"depolarize {q}",
+                            lambda t, q=q: depolarize_qubit(t, q, 0.03, n),
+                            lambda t, k, q=q: depolarize_qubit(t, q, 0.03, n)))
+        kernels.append(("depolarize global", lambda t: depolarize_global(t, 0.07, n),
+                        lambda t, k: depolarize_global(t, 0.07, n)))
+    return kernels
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+def test_kernels_on_a_stack_equal_state_by_state(n, density):
+    rng = np.random.default_rng(41 + n)
+    batch = 5
+    shape = [2] * (2 * n if density else n)
+    stack = rng.normal(size=[batch] + shape) + 1j * rng.normal(size=[batch] + shape)
+    one = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    broadcast = np.broadcast_to(one, stack.shape)  # read-only, stride 0 on the batch axis
+    thetas = rng.uniform(-2 * np.pi, 4 * np.pi, batch)
+    for name, batched, single in _stack_kernels(n, density, thetas):
+        for source in (stack, broadcast):
+            out = batched(source)
+            expected = np.stack([single(state, k) for k, state in enumerate(source)])
+            assert out.shape == source.shape, name
+            assert np.array_equal(out, expected), name
+            assert not np.shares_memory(out, source), name

@@ -4,9 +4,13 @@
 
 Runs the same fixed set of ``qsense`` commands under each tree (imported
 from ``<tree>/src``): ``infer`` exact and sampled on the ghz, random and
-squeezing setups with and without noise, six ``study`` configs,
+squeezing setups with and without noise (among them GHZ n = 12 exact and
+at 1000 shots, whose 25 nodes run in 7 stacks of encoded states, and
+squeezing n = 8 exact, whose 57 nodes run in one), six ``study`` configs,
 ``estimate --out`` on one exact and one sampled ``infer`` output,
-``sensitivity`` in setup and ``--poly`` mode and ``train --epochs 20``.
+``sensitivity`` in setup and ``--poly`` mode, ``train --n 4 --epochs 20``
+and ``train --n 5 --epochs 10`` (an odd qubit count, so the coarsening
+keeps one qubit back in its first round).
 Every output file is then compared byte for byte, except that
 ``runtime_seconds`` in ``summary.json`` and ``out_dir`` in ``config.json``
 are ignored.  Prints one line per differing output or failing command and
@@ -33,6 +37,9 @@ INFER = [
     ("random", 8, 0.0, "2000"),
     ("squeezing", 5, 0.0, "2000"),
     ("ghz", 4, 0.02, "exact"),
+    ("ghz", 12, 0.0, "exact"),
+    ("ghz", 12, 0.0, "1000"),
+    ("squeezing", 8, 0.0, "exact"),
 ]
 
 STUDIES = [
@@ -75,6 +82,7 @@ def commands(work: Path) -> list[list[str]]:
     cmds.append(["sensitivity", "--poly", "infer_ghz_10_0.0_exact/inference.json",
                  "--lo", "-0.1", "--hi", "0.1", "--points", "101", "--out", "sens_poly"])
     cmds.append(["train", "--n", "4", "--epochs", "20", "--out", "train"])
+    cmds.append(["train", "--n", "5", "--epochs", "10", "--out", "train_5"])
     return cmds
 
 
