@@ -252,12 +252,13 @@ def _prediction_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_
                 for field in range(config.prediction_fields)
             ]
             values = [e.mean for e in sample_response(setup, thetas, shots_n, seed=seeds)]
-        rows = []
-        for theta_true, measured in zip(thetas.tolist(), values):
-            domain = (theta_true - window, theta_true + window)
-            est_inf = estimate_parameter(res.poly, measured, domain)
-            est_fit = estimate_parameter(fit, measured, domain)
-            rows.append([n, repeat, theta_true, est_inf.theta_star, est_fit.theta_star])
+        domain = (thetas - window, thetas + window)
+        est_inf = estimate_parameter(res.poly, values, domain)
+        est_fit = estimate_parameter(fit, values, domain)
+        rows = [
+            [n, repeat, theta_true, by_poly.theta_star, by_fit.theta_star]
+            for theta_true, by_poly, by_fit in zip(thetas.tolist(), est_inf, est_fit)
+        ]
         return rows, res.poly
 
     trials = parallel_map(trial, range(config.repeats))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sim.setups import (
+    MAX_STACK_AMPLITUDES,
     SensingSetup,
     exact_response,
     response_variance,
@@ -26,6 +27,14 @@ from .trig import SampleVector, TrigPoly, coeffs_closed_form, equidistant_nodes
 
 SLOPE_FLOOR = 1e-8
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SLOPE_POINTS = 512
+_GRID_POINTS = 1024
+# float64 values in one block of batched temporaries: 256 KiB, the
+# simulator's stack of MAX_STACK_AMPLITUDES complex amplitudes
+_BLOCK_VALUES = 2 * MAX_STACK_AMPLITUDES
+# relative margin of the cosine-fit screen; its measured round-off is
+# below 4e-16 (see _screened_grid)
+_SCREEN_RTOL = 1e-9
 
 DEFAULT_SENSITIVITY_RANGES = {
     "ghz": lambda n: (-math.pi / (3 * n), math.pi / (3 * n)),
@@ -118,6 +127,7 @@ class CosineFit:
         return float(out) if np.isscalar(theta) or th.ndim == 0 else out
 
     __call__ = evaluate
+    evaluate_each = evaluate  # elementwise, so each value is the scalar call's
 
     def derivative_values(self, theta):
         th = np.asarray(theta, dtype=float)
@@ -216,62 +226,129 @@ def response_polynomial(setup: SensingSetup, degree: int | None = None) -> TrigP
     return infer_response(setup, degree=degree, shots=None).poly
 
 
-def _golden_section(fn, lo: float, hi: float, width: float = 1e-10) -> float:
-    a, b = lo, hi
+def _blocks(count: int, per_item: int) -> list[slice]:
+    """Consecutive slices of ``range(count)`` whose items together hold at
+    most ``_BLOCK_VALUES`` float64 values (at least one item each)."""
+    size = max(1, _BLOCK_VALUES // max(per_item, 1))
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def _grids(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
+    """``np.linspace(lo[k], hi[k], num)`` as row k, each row equal to the
+    scalar call's.  np.linspace switches the whole array to a second
+    formula when any row's step underflows to 0, so such rows are filled
+    apart from the others."""
+    grid = np.linspace(lo, hi, num, axis=-1)
+    tiny = (hi - lo) / (num - 1) == 0
+    if tiny.any() and not tiny.all():
+        grid[~tiny] = np.linspace(lo[~tiny], hi[~tiny], num, axis=-1)
+    return grid
+
+
+def _golden_sections(fn, a: np.ndarray, b: np.ndarray, width: float = 1e-10) -> np.ndarray:
+    """Golden-section minima of ``fn`` on the brackets [a_k, b_k], all in
+    lockstep: each round updates every live bracket exactly as a scalar
+    golden-section loop would and evaluates ``fn(points, live)`` once for
+    the indices ``live`` of the fields still shrinking.  A bracket stops
+    once it is no wider than ``width`` or than two ulps of its larger end.
+    The second rule can act first only where two ulps exceed ``width``
+    (|theta| >= 2**18); from 2**19 on, where one ulp exceeds ``width``, a
+    scalar loop could cycle forever on a bracket one ulp wide."""
+    a, b = a.copy(), b.copy()
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > width:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def _derivative_values(response, grid: np.ndarray) -> np.ndarray:
-    if isinstance(response, TrigPoly):
-        return response.derivative().evaluate(grid)
-    return response.derivative_values(grid)
+    live = np.arange(len(a))
+    fc, fd = fn(c, live), fn(d, live)
+    while True:
+        span = b[live] - a[live]
+        ends = np.maximum(np.abs(a[live]), np.abs(b[live]))
+        live = live[(span > width) & (span > 2.0 * np.spacing(ends))]
+        if not live.size:
+            return 0.5 * (a + b)
+        a0, b0, c0, d0, fc0, fd0 = (x[live] for x in (a, b, c, d, fc, fd))
+        left = fc0 < fd0
+        a[live] = na = np.where(left, a0, c0)
+        b[live] = nb = np.where(left, d0, b0)
+        x = np.where(left, nb - _GOLDEN * (nb - na), na + _GOLDEN * (nb - na))
+        fx = fn(x, live)
+        c[live] = np.where(left, x, d0)
+        d[live] = np.where(left, c0, x)
+        fc[live] = np.where(left, fx, fd0)
+        fd[live] = np.where(left, fc0, fx)
 
 
 def estimate_parameter(
-    response, measured: float, domain: tuple[float, float]
-) -> EstimationOutcome:
+    response, measured, domain
+) -> EstimationOutcome | list[EstimationOutcome]:
     """Invert a response curve: theta* = argmin over the domain of
     |response(theta) - measured|.
 
-    ``response`` may be a TrigPoly or a CosineFit.  Bijectivity is checked
-    by sampling the derivative on a 512-point grid (no strict sign change).
-    The argmin runs a 1024-point dense grid followed by golden-section
-    refinement to a bracket width of 1e-10.  When ``measured`` lies outside
-    the attainable range the boundary-closest extremizer is returned with a
-    nonzero residual.
+    ``response`` may be a TrigPoly or a CosineFit.  ``measured`` is a float
+    with ``domain = (lo, hi)`` floats, giving one EstimationOutcome, or a
+    1-D array of fields with ``lo``/``hi`` arrays of the same length (or
+    floats), giving a list of outcomes, each equal to the scalar call's.
+    Bijectivity is checked by sampling the derivative on a 512-point grid
+    (no strict sign change).  The argmin runs a 1024-point dense grid
+    followed by golden-section refinement to a bracket width of 1e-10.
+    The grids run over blocks of fields whose (fields, grid, D)
+    temporaries hold at most 2**15 float64 values (256 KiB); the
+    golden-section brackets of all fields then shrink in lockstep, each
+    evaluated point by point as a scalar call would.  A bracket also stops
+    once it is at most two ulps wide; that can happen before it reaches
+    1e-10 only for |theta| >= 2**18, where a one-ulp bracket is wider than
+    1e-10 and a plain golden-section loop may never end.  A domain whose
+    width hi - lo overflows raises ValueError.
+    When ``measured`` lies outside the attainable range the
+    boundary-closest extremizer is returned with a nonzero residual.
     """
-    lo, hi = float(domain[0]), float(domain[1])
-    if not math.isfinite(measured):
-        raise ValueError(f"measured response must be finite, got {measured}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"domain must be finite with lo < hi, got ({lo}, {hi})")
-    deriv = _derivative_values(response, np.linspace(lo, hi, 512))
-    signs = np.sign(deriv)
-    nonzero = signs[signs != 0]
-    bijective = bool(len(nonzero) == 0 or np.all(nonzero == nonzero[0]))
-
-    grid = np.linspace(lo, hi, 1024)
-    residuals = np.abs(np.asarray(response.evaluate(grid)) - measured)
-    best = int(np.argmin(residuals))
-    left = grid[max(best - 1, 0)]
-    right = grid[min(best + 1, len(grid) - 1)]
-    fn = lambda th: abs(response.evaluate(th) - measured)
-    theta_star = _golden_section(fn, left, right) if right > left else grid[best]
-    return EstimationOutcome(
-        float(theta_star), (lo, hi), bijective, float(fn(theta_star))
+    measured, lo, hi = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (measured, domain[0], domain[1]))
     )
+    if measured.ndim > 1:
+        raise ValueError(f"measured must be a scalar or a 1-D array, got shape {measured.shape}")
+    scalar = measured.ndim == 0
+    measured, lo, hi = (x.reshape(-1) for x in (measured, lo, hi))
+    bad = ~np.isfinite(measured)
+    if bad.any():
+        raise ValueError(f"measured response must be finite, got {measured[bad][0]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~(np.isfinite(lo) & np.isfinite(hi) & (lo < hi) & np.isfinite(hi - lo))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"domain must be finite with lo < hi and a finite width hi - lo, "
+            f"got ({lo[k]}, {hi[k]})"
+        )
+
+    # values per grid point in the (fields, grid, D) temporaries
+    if isinstance(response, TrigPoly):
+        slope, terms = response.derivative().evaluate, max(response.degree, 1)
+    else:
+        slope, terms = response.derivative_values, 1
+    count = len(measured)
+    bijective = np.empty(count, dtype=bool)
+    left, right, nearest = (np.empty(count) for _ in range(3))
+    for blk in _blocks(count, _GRID_POINTS * terms):
+        signs = np.sign(slope(_grids(lo[blk], hi[blk], _SLOPE_POINTS)))
+        rows = np.arange(len(signs))
+        nonzero = signs != 0
+        first = signs[rows, np.argmax(nonzero, axis=-1)]
+        bijective[blk] = np.all((signs == first[:, None]) | ~nonzero, axis=-1)
+
+        grid = _grids(lo[blk], hi[blk], _GRID_POINTS)
+        best = np.argmin(np.abs(response.evaluate(grid) - measured[blk, None]), axis=-1)
+        nearest[blk] = grid[rows, best]
+        left[blk] = grid[rows, np.maximum(best - 1, 0)]
+        right[blk] = grid[rows, np.minimum(best + 1, _GRID_POINTS - 1)]
+
+    fn = lambda th, live: np.abs(response.evaluate_each(th) - measured[live])
+    theta_star = np.where(right > left, _golden_sections(fn, left, right), nearest)
+    residual = fn(theta_star, slice(None))
+    outcomes = [
+        EstimationOutcome(float(t), (float(l), float(h)), bool(bij), float(r))
+        for t, l, h, bij, r in zip(theta_star, lo, hi, bijective, residual)
+    ]
+    return outcomes[0] if scalar else outcomes
 
 
 def sensitivity(
@@ -392,13 +469,69 @@ def sensitivity_error_check(
     )
 
 
+def _screened_grid(th, d, betas, gammas) -> np.ndarray:
+    """Mask of the (beta, gamma) grid points whose two-column least-squares
+    SSE can be the smallest.
+
+    The SSE of d on [u, 1] with u = cos(beta theta + gamma) is, in closed
+    form, S_dd - S_ud^2 / S_uu over the centred u and d.  Its round-off
+    grows as u nears the constant column, so each point carries the margin
+    _SCREEN_RTOL * S_dd * (M + u.u) / S_uu for M nodes (the largest gap
+    to ``np.linalg.lstsq`` measured over GHZ, random and squeezing data,
+    exact and sampled, and random node sets is 3.7e-16 of that scale).
+    A point is kept when its lower end reaches the smallest upper end, or
+    when its screened value is not finite (a rank-deficient design).
+    """
+    dc = d - d.mean()
+    sdd = dc @ dc
+    screened = np.empty((len(betas), len(gammas)))
+    margin = np.empty_like(screened)
+    for blk in _blocks(len(betas), len(gammas) * len(th)):
+        u = np.cos(betas[blk, None, None] * th + gammas[:, None])
+        uc = u - u.mean(axis=-1, keepdims=True)
+        suu = np.vecdot(uc, uc)
+        sud = np.vecdot(uc, dc)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            screened[blk] = sdd - sud * sud / suu
+            margin[blk] = _SCREEN_RTOL * sdd * (len(th) + np.vecdot(u, u)) / suu
+    with np.errstate(invalid="ignore"):
+        low, high = screened - margin, screened + margin
+        bound = np.min(high, where=np.isfinite(high), initial=math.inf)
+        return ~np.isfinite(low) | (low <= bound)
+
+
+def _coarse_fit(th: np.ndarray, d: np.ndarray, degree: int) -> np.ndarray:
+    """[alpha, beta, gamma, zeta] at the first coarse grid point with the
+    smallest lstsq SSE, solving only the points ``_screened_grid`` keeps."""
+    betas = np.arange(0.5, degree + 0.5 + 1e-9, 0.25)
+    gammas = np.arange(0.0, 2.0 * math.pi, math.pi / 16.0)
+    best_sse = math.inf
+    best = None
+    ones = np.ones_like(th)
+    for i, j in np.argwhere(_screened_grid(th, d, betas, gammas)):
+        beta, gamma = betas[i], gammas[j]
+        design = np.column_stack([np.cos(beta * th + gamma), ones])
+        coef, *_ = np.linalg.lstsq(design, d, rcond=None)
+        resid = design @ coef - d
+        sse = float(resid @ resid)
+        if sse < best_sse:
+            best_sse = sse
+            best = np.array([coef[0], beta, gamma, coef[1]])
+    return best
+
+
 def cosine_fit(samples: SampleVector) -> CosineFit:
     """Fit alpha * cos(beta * theta + gamma) + zeta to the node samples.
 
     Coarse grid over beta in [0.5, D + 0.5] (step 0.25) and gamma in
     [0, 2 pi) (step pi/16) with alpha, zeta solved linearly at each grid
     point, then Gauss-Newton refinement (at most 200 iterations,
-    convergence threshold 1e-10).
+    convergence threshold 1e-10).  A closed-form screen of every grid
+    point's SSE (``_screened_grid``) picks the few candidates that can
+    hold the minimum; only those are solved with ``np.linalg.lstsq``, in
+    beta-major order with the first strict minimum kept, so the coarse
+    best point is bit for bit the one an lstsq solve at every grid point
+    picks.
     """
     th = samples.nodes.angles
     d = samples.values
@@ -407,20 +540,9 @@ def cosine_fit(samples: SampleVector) -> CosineFit:
     if float(np.ptp(d)) < 1e-15:
         return CosineFit(0.0, 1.0, 0.0, float(d.mean()), 0.0)
 
-    best_sse = math.inf
-    best = None
+    params = _coarse_fit(th, d, samples.degree)
     ones = np.ones_like(th)
-    for beta in np.arange(0.5, samples.degree + 0.5 + 1e-9, 0.25):
-        for gamma in np.arange(0.0, 2.0 * math.pi, math.pi / 16.0):
-            design = np.column_stack([np.cos(beta * th + gamma), ones])
-            coef, *_ = np.linalg.lstsq(design, d, rcond=None)
-            resid = design @ coef - d
-            sse = float(resid @ resid)
-            if sse < best_sse:
-                best_sse = sse
-                best = np.array([coef[0], beta, gamma, coef[1]])
 
-    params = best
     def residuals(p):
         return p[0] * np.cos(p[1] * th + p[2]) + p[3] - d
 

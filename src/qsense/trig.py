@@ -78,8 +78,8 @@ class TrigPoly:
     def evaluate(self, theta):
         """Evaluate at a scalar or array of angles (2 pi periodic)."""
         th = np.asarray(theta, dtype=float)
-        if self.degree == 0:
-            out = np.full(th.shape, self.c)
+        if self.degree == 0 or th.ndim == 0:
+            out = self.evaluate_each(th)
         else:
             s = np.arange(1, self.degree + 1)
             arg = np.multiply.outer(th, s)
@@ -87,6 +87,18 @@ class TrigPoly:
         return float(out) if np.isscalar(theta) or th.ndim == 0 else out
 
     __call__ = evaluate
+
+    def evaluate_each(self, theta) -> np.ndarray:
+        """Values at an array of angles, each with its own dot product over
+        the D frequencies (``np.vecdot``), so each equals a scalar
+        ``evaluate`` call bit for bit.  ``evaluate`` on an array instead
+        runs one matrix product over all angles, whose sums may round
+        differently."""
+        th = np.asarray(theta, dtype=float)
+        if self.degree == 0:  # c + 0.0 would turn -0.0 into 0.0
+            return np.full(th.shape, self.c)
+        arg = np.multiply.outer(th, np.arange(1, self.degree + 1))
+        return self.c + np.vecdot(np.cos(arg), self.a) + np.vecdot(np.sin(arg), self.b)
 
     def derivative(self) -> "TrigPoly":
         """d/dtheta: a'_s = s b_s, b'_s = -s a_s, c' = 0."""

@@ -107,6 +107,29 @@ def test_estimate_rejects_non_finite_inputs(tmp_path, capsys, measured, lo, hi):
     assert not out.exists()
 
 
+def test_estimate_rejects_overflowing_domain_width(tmp_path, capsys):
+    poly_file = tmp_path / "cos.json"
+    poly_file.write_text(json.dumps(TrigPoly([1.0], [0.0], 0.0).to_json_dict()))
+    out = tmp_path / "e"
+    assert main(["estimate", "--poly", str(poly_file), "--measured", "0.5",
+                 "--lo=-1e308", "--hi=1e308", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "domain" in captured.err
+    assert not out.exists()
+
+
+def test_estimate_far_from_zero_returns(tmp_path, capsys):
+    # one ulp at 1e6 (1.16e-10) is wider than the 1e-10 bracket width
+    inf = tmp_path / "inf"
+    main(["infer", "--setup", "ghz", "--n", "3", "--shots", "exact", "--out", str(inf)])
+    capsys.readouterr()
+    assert main(["estimate", "--poly", str(inf / "inference.json"), "--measured", "0.5",
+                 "--lo=1000000", "--hi=1000001"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 1e6 <= doc["theta_star"] <= 1e6 + 1.0
+    assert doc["residual"] < 1e-6
+
+
 def test_sensitivity_setup_mode(tmp_path):
     out = tmp_path / "s"
     assert main(["sensitivity", "--setup", "ghz", "--n", "3", "--shots", "exact",

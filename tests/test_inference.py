@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from qsense import inference
 from qsense.inference import (
+    CosineFit,
     cosine_fit,
     error_bound,
     estimate_parameter,
@@ -17,12 +19,13 @@ from qsense.inference import (
 )
 from qsense.sim import (
     build_ghz_setup,
+    build_setup,
     build_squeezing_setup,
     exact_response,
     response_variance,
     sample_response,
 )
-from qsense.trig import SampleVector, TrigPoly, equidistant_nodes
+from qsense.trig import NodeSet, SampleVector, TrigPoly, equidistant_nodes
 
 TWO_PI = 2.0 * math.pi
 
@@ -345,3 +348,205 @@ def test_relative_inversion_error_chi_small_with_budget_shots():
         chis.append(abs(t_inf - t_ex))
     assert len(chis) >= 5
     assert np.median(chis) <= delta_target
+
+
+# -- batched inversion and the screened cosine-fit grid ------------------------
+#
+# The oracles below are the scalar golden-section inversion and the full
+# lstsq coarse grid as they ran before the estimator took arrays of fields.
+# The batched code must reproduce them bit for bit.
+
+
+def _golden_section_oracle(fn, lo, hi, width=1e-10):
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > width:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
+def _estimate_oracle(response, measured, domain, branches):
+    lo, hi = float(domain[0]), float(domain[1])
+    if isinstance(response, TrigPoly):
+        deriv = response.derivative().evaluate(np.linspace(lo, hi, 512))
+    else:
+        deriv = response.derivative_values(np.linspace(lo, hi, 512))
+    signs = np.sign(deriv)
+    nonzero = signs[signs != 0]
+    bijective = bool(len(nonzero) == 0 or np.all(nonzero == nonzero[0]))
+    grid = np.linspace(lo, hi, 1024)
+    residuals = np.abs(np.asarray(response.evaluate(grid)) - measured)
+    best = int(np.argmin(residuals))
+    left = grid[max(best - 1, 0)]
+    right = grid[min(best + 1, len(grid) - 1)]
+    fn = lambda th: abs(response.evaluate(th) - measured)
+    branches.append(right > left)
+    theta_star = _golden_section_oracle(fn, left, right) if right > left else grid[best]
+    return float(theta_star), (lo, hi), bijective, float(fn(theta_star))
+
+
+def _fields(response, count, rng):
+    """``count`` (measured, lo, hi) fields cycling through: a value inside
+    the range, exactly +1 and -1, values outside the range, windows near
+    |theta| = 1e5, two-ulp domains and one of denormal width."""
+    cases = []
+    while len(cases) < count:
+        k = len(cases)
+        centre = rng.uniform(-4.0, 4.0)
+        half = rng.uniform(0.01, 0.4)
+        kind = k % 7
+        if kind == 0:
+            measured = float(response.evaluate(centre + rng.uniform(-half, half)))
+        elif kind in (1, 2):
+            measured = 1.0 if kind == 1 else -1.0
+        elif kind == 3:
+            measured = float(rng.choice([-1.5, 2.0, 7.0]))
+        elif kind == 4:
+            centre = float(rng.choice([-1.0, 1.0])) * 1e5 + rng.uniform(-1.0, 1.0)
+            measured = float(response.evaluate(centre))
+        elif kind == 5:
+            centre, half = float(rng.choice([0.5, 1.0, 3.0])), 0.0
+            measured = float(rng.uniform(-1.0, 1.0))
+        else:
+            cases.append((0.3, 0.0, 1e-322))
+            continue
+        lo = centre - half
+        hi = centre + half if half else np.nextafter(np.nextafter(centre, 9.0), 9.0)
+        cases.append((measured, lo, float(hi)))
+    return [np.array(col) for col in zip(*cases)]
+
+
+def _check_batched(response, count, seed):
+    measured, lo, hi = _fields(response, count, np.random.default_rng(seed))
+    got = estimate_parameter(response, measured, (lo, hi))
+    branches = []
+    want = [_estimate_oracle(response, m, (l, h), branches) for m, l, h in zip(measured, lo, hi)]
+    assert len(got) == count
+    for k, name in enumerate(("theta_star", "domain", "bijective", "residual")):
+        assert np.array_equal([getattr(o, name) for o in got], [w[k] for w in want]), name
+    for m, l, h, w in zip(measured[:9], lo, hi, want):
+        one = estimate_parameter(response, float(m), (float(l), float(h)))
+        assert (one.theta_star, one.domain, one.bijective, one.residual) == w
+    return branches
+
+
+def _block_fields(degree):
+    # two full blocks of the 2**15-value cap plus a partial one
+    return 2 * max(1, 2**15 // (1024 * max(degree, 1))) + 3
+
+
+@pytest.mark.parametrize("degree", range(13))
+def test_batched_estimate_matches_scalar_oracle(degree):
+    rng = np.random.default_rng(100 + degree)
+    scale = 1.0 / max(degree, 1)
+    poly = TrigPoly(rng.normal(size=degree) * scale, rng.normal(size=degree) * scale,
+                    rng.normal() * 0.2)
+    count = _block_fields(degree)
+    branches = _check_batched(poly, count, seed=degree)
+    assert any(branches) and not all(branches)  # golden-section and grid-point fields
+    if degree:
+        flat = TrigPoly(np.eye(degree)[-1], np.zeros(degree), 0.0)  # cos(D theta), flat at +-1
+        _check_batched(flat, count, seed=50 + degree)
+
+
+def test_batched_estimate_matches_scalar_oracle_for_cosine_fit():
+    fit = CosineFit(0.8, 3.0, 0.4, 0.1, 0.0)
+    _check_batched(fit, 75, seed=7)
+
+
+def test_batched_estimate_scalar_domain_broadcasts():
+    poly = TrigPoly([0.5, -0.2], [0.1, 0.3], 0.05)
+    measured = np.array([0.1, 0.4, -0.3])
+    got = estimate_parameter(poly, measured, (0.2, 1.4))
+    assert [o.theta_star for o in got] == [
+        estimate_parameter(poly, float(m), (0.2, 1.4)).theta_star for m in measured
+    ]
+    with pytest.raises(ValueError, match="1-D"):
+        estimate_parameter(poly, np.zeros((2, 2)), (0.2, 1.4))
+    with pytest.raises(ValueError, match=r"domain .*\(1\.0, 0\.5\)"):
+        estimate_parameter(poly, measured, (np.array([0.0, 1.0, 0.0]), np.full(3, 0.5)))
+
+
+def test_estimate_parameter_rejects_overflowing_domain_width():
+    with pytest.raises(ValueError, match="domain"):
+        estimate_parameter(TrigPoly([1.0], [0.0], 0.0), 0.5, (-1e308, 1e308))
+
+
+def test_estimate_parameter_terminates_on_ulp_wide_brackets():
+    # at |theta| = 1e6 one ulp (1.16e-10) exceeds the 1e-10 bracket width
+    poly = TrigPoly([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], 0.0)
+    out = estimate_parameter(poly, 0.5, (1e6, 1e6 + 1.0))
+    assert math.isfinite(out.theta_star) and 1e6 <= out.theta_star <= 1e6 + 1.0
+    assert out.residual < 1e-6
+    rng = np.random.default_rng(3)
+    centres = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(5.5, 15.0, 200)
+    widths = np.abs(centres) * 10.0 ** rng.uniform(-15.0, -8.0, 200)
+    outs = estimate_parameter(poly, rng.uniform(-1.0, 1.0, 200), (centres, centres + widths))
+    assert all(centres[k] <= o.theta_star <= centres[k] + widths[k] for k, o in enumerate(outs))
+
+
+def _coarse_fit_oracle(th, d, degree):
+    best_sse = math.inf
+    best = None
+    ones = np.ones_like(th)
+    for beta in np.arange(0.5, degree + 0.5 + 1e-9, 0.25):
+        for gamma in np.arange(0.0, 2.0 * math.pi, math.pi / 16.0):
+            design = np.column_stack([np.cos(beta * th + gamma), ones])
+            coef, *_ = np.linalg.lstsq(design, d, rcond=None)
+            resid = design @ coef - d
+            sse = float(resid @ resid)
+            if sse < best_sse:
+                best_sse = sse
+                best = np.array([coef[0], beta, gamma, coef[1]])
+    return best
+
+
+def _screen_samples():
+    samples = []
+    for kind, n in (("ghz", 4), ("ghz", 8), ("random", 5), ("squeezing", 4)):
+        for noise in (0.0, 0.02):
+            setup = build_setup(kind, n, noise=noise, layers=2, seed=3)
+            for shots in (None, 50, 1000):
+                samples.append(infer_response(setup, shots=shots, seed=n).samples)
+    rng = np.random.default_rng(8)
+    for count in (5, 9, 13):
+        nodes = NodeSet(np.sort(rng.uniform(0.0, TWO_PI, count)))
+        samples.append(SampleVector(nodes, rng.normal(size=count)))
+    # pure noise: no phase fits well, so the near-zero column at beta = D + 1/2,
+    # gamma = pi/2 (whose closed-form SSE is far off) must not set the bound;
+    # a margin blind to that column's conditioning picks a wrong point here
+    for degree, seed in ((2, 2), (2, 8), (3, 8), (3, 12), (5, 14), (7, 208)):
+        noise = np.random.default_rng(seed).normal(size=2 * degree + 1)
+        samples.append(SampleVector(equidistant_nodes(degree), noise))
+    samples.append(SampleVector(equidistant_nodes(3), np.full(7, -0.4)))
+    return samples
+
+
+def test_screened_cosine_grid_matches_full_lstsq(monkeypatch):
+    samples = _screen_samples()
+    assert any(not s.nodes.is_equidistant for s in samples)
+    for s in samples[:-1]:
+        th, d = s.nodes.angles, s.values
+        assert np.array_equal(inference._coarse_fit(th, d, s.degree),
+                              _coarse_fit_oracle(th, d, s.degree))
+        betas = np.arange(0.5, s.degree + 0.5 + 1e-9, 0.25)
+        gammas = np.arange(0.0, 2.0 * math.pi, math.pi / 16.0)
+        # a handful of lstsq solves, not the whole grid; at beta = D + 1/2 the
+        # column is (-1)^k cos(gamma) on equidistant nodes, so all 32 phases tie
+        assert inference._screened_grid(th, d, betas, gammas).sum() <= 40
+    screened = [cosine_fit(s) for s in samples]
+    monkeypatch.setattr(inference, "_coarse_fit", _coarse_fit_oracle)
+    full = [cosine_fit(s) for s in samples]
+    for a, b in zip(screened, full):
+        for name in ("alpha", "beta", "gamma", "zeta", "residual_rms"):
+            assert getattr(a, name) == getattr(b, name), name

@@ -6,8 +6,12 @@ Runs the same fixed set of ``qsense`` commands under each tree (imported
 from ``<tree>/src``): ``infer`` exact and sampled on the ghz, random and
 squeezing setups with and without noise (among them GHZ n = 12 exact and
 at 1000 shots, whose 25 nodes run in 7 stacks of encoded states, and
-squeezing n = 8 exact, whose 57 nodes run in one), six ``study`` configs,
-``estimate --out`` on one exact and one sampled ``infer`` output,
+squeezing n = 8 exact, whose 57 nodes run in one), seven ``study`` configs
+(among them a sampled-curve prediction study at n = 6, 12 with 100
+fields, whose estimates run in several blocks and whose cosine-fit grid
+screen spans two), ``estimate --out`` on one sampled and three exact
+``infer`` outputs (measured 0.3; 1.0, a flat extremum; 1.5, out of
+range),
 ``sensitivity`` in setup and ``--poly`` mode, ``train --n 4 --epochs 20``
 and ``train --n 5 --epochs 10`` (an odd qubit count, so the coarsening
 keeps one qubit back in its first round).
@@ -50,6 +54,8 @@ STUDIES = [
                         prediction_fields=10)),
     ("prediction", dict(kind="ghz", n_values=[3], noise=0.01, shots="exact",
                         prediction_fields=10)),
+    ("prediction", dict(kind="ghz", n_values=[6, 12], shots="1000", exact_curves=False,
+                        prediction_fields=100)),
     ("sensitivity", dict(kind="ghz", n_values=[3, 5], shots="1000", repeats=2)),
 ]
 
@@ -72,9 +78,11 @@ def commands(work: Path) -> list[list[str]]:
         ))
         cmds.append(["study", "--study", study, "--config", config])
     for poly, measured, lo, hi in [("infer_ghz_10_0.0_exact", "0.3", "0.0", "0.15"),
+                                   ("infer_ghz_10_0.0_exact", "1.0", "-0.1", "0.2"),
+                                   ("infer_ghz_10_0.0_exact", "1.5", "-0.1", "0.2"),
                                    ("infer_ghz_7_0.01_1000", "-0.2", "0.1", "0.4")]:
         cmds.append(["estimate", "--poly", f"{poly}/inference.json", "--measured", measured,
-                     "--lo", lo, "--hi", hi, "--out", f"estimate_{poly}"])
+                     "--lo", lo, "--hi", hi, "--out", f"estimate_{poly}_{measured}"])
     cmds.append(["sensitivity", "--setup", "ghz", "--n", "4", "--shots", "1000",
                  "--out", "sens_setup"])
     cmds.append(["sensitivity", "--setup", "squeezing", "--n", "4", "--shots", "exact",
