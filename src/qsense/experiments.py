@@ -30,6 +30,7 @@ from .inference import (
     response_polynomial,
     sensitivity_error_check,
     shot_budget,
+    sup_norm_bound,
 )
 from .sim import SETUP_KINDS, SensingSetup, build_setup, exact_response, sample_response
 from .trig import TrigPoly, write_curve_csv
@@ -199,7 +200,7 @@ def write_sensitivity_csv(path: Path, report: SensitivityErrorReport) -> None:
 
 def _inference_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_n: int | None):
     """Infer the response for each repeat, score |R - R~| on random test
-    angles against the simulator and bound it by 5 eps ln(degree)."""
+    angles against the simulator and bound it by ``sup_norm_bound``."""
     exact_poly = response_polynomial(setup)
     grid = np.random.default_rng([config.base_seed, n, 101]).uniform(
         0.0, 2.0 * math.pi, config.test_points
@@ -213,7 +214,7 @@ def _inference_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_n
         err = np.abs(res.poly.evaluate(grid) - truth)
         node_truth = exact_poly.evaluate(res.samples.nodes.angles)
         eps_true = float(np.abs(res.samples.values - node_truth).max())
-        bound = 5.0 * eps_true * math.log(max(res.poly.degree, 2))
+        bound = sup_norm_bound(eps_true, res.poly.degree)
         return [n, repeat, float(np.median(err)), float(err.max()), eps_true, bound], res.poly
 
     trials = parallel_map(trial, range(config.repeats))

@@ -5,8 +5,8 @@ The workflow: measure the response at the 2D+1 equidistant nodes, recover
 the interpolating trigonometric polynomial, then reuse that polynomial for
 everything downstream.  With exact expectations the recovery is exact for
 any setup whose encoding is a sum of commuting involutory terms; with N
-shots per node the sup-norm error is bounded by 5 * eps * ln(degree basis),
-where eps is the largest node estimation error.
+shots per node the sup-norm error is bounded by ``sup_norm_bound``,
+5 * eps * ln(max(D, 2)), where eps is the largest node estimation error.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class InferenceResult:
     ``epsilon_estimate`` is a conservative plug-in for the maximum node
     estimation error: three binomial standard errors, maximized over nodes
     (zero in exact-expectation mode).  ``bound_value`` is the implied
-    sup-norm bound 5 * eps * ln(max(D, 2)).
+    sup-norm bound ``sup_norm_bound(eps, D)``.
     """
 
     poly: TrigPoly
@@ -100,15 +100,6 @@ class SensitivityPoint:
     slope: float
     delta_theta_sq: float
     divergent: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "variance": self.variance,
-            "slope": self.slope,
-            "delta_theta_sq": self.delta_theta_sq,
-            "divergent": self.divergent,
-        }
 
 
 @dataclass(frozen=True)
@@ -172,14 +163,13 @@ def polylog_shot_schedule(n: int) -> int:
     return math.ceil(500.0 * math.log(n) ** 2 * math.log(200.0 * (2 * n + 1)))
 
 
-def error_bound(epsilon: float, n: int) -> float:
-    """Sup-norm bound 5 * epsilon * ln(n) on |R - R_inferred| when every node
-    estimate is within epsilon of the true response."""
+def sup_norm_bound(epsilon: float, degree: int) -> float:
+    """Sup-norm bound 5 * epsilon * ln(max(degree, 2)) on |R - R_inferred|
+    for the degree-``degree`` interpolant when every node estimate is within
+    epsilon of the true response."""
     if epsilon < 0.0:
         raise ValueError("epsilon must be >= 0")
-    if n < 2:
-        raise ValueError("bound needs n >= 2")
-    return 5.0 * epsilon * math.log(n)
+    return 5.0 * epsilon * math.log(max(degree, 2))
 
 
 def infer_response(
@@ -190,19 +180,24 @@ def infer_response(
 ) -> InferenceResult:
     """Measure the response at equidistant nodes and interpolate.
 
-    ``degree`` defaults to the encoding term count, which always suffices.
-    ``shots=None`` means exact expectations (no sampling).  All nodes go
-    through one simulator call, which prepares the probe once.  Each node
-    draws from its own RNG seeded by (seed, node index), so a node's
-    samples do not depend on the other nodes.
+    ``degree`` defaults to the encoding term count, which always suffices;
+    a smaller degree raises ValueError, because its nodes would alias the
+    response onto a lower-degree curve.  ``shots=None`` means exact
+    expectations (no sampling).  All nodes go through one simulator call,
+    which prepares the probe once.  Each node draws from its own RNG seeded
+    by (seed, node index), so a node's samples do not depend on the other
+    nodes.
     """
     d = setup.encoding_degree if degree is None else int(degree)
-    if d < 1:
-        raise ValueError("degree must be >= 1")
+    if d < setup.encoding_degree:
+        raise ValueError(
+            f"degree {d} is below the encoding degree {setup.encoding_degree}; "
+            "its nodes would alias the response"
+        )
     nodes = equidistant_nodes(d)
     if shots is None:
         values = exact_response(setup, nodes.angles)
-        samples = SampleVector(nodes, values, None, np.zeros(len(nodes)))
+        samples = SampleVector(nodes, values, np.zeros(len(nodes)))
         epsilon = 0.0
     else:
         if shots < 1:
@@ -212,13 +207,11 @@ def infer_response(
         samples = SampleVector(
             nodes,
             np.array([e.mean for e in estimates]),
-            np.full(len(nodes), shots, dtype=float),
             np.array([e.standard_error for e in estimates]),
         )
         epsilon = 3.0 * float(samples.standard_errors.max())
     poly = coeffs_closed_form(samples)
-    bound = 5.0 * epsilon * math.log(max(d, 2))
-    return InferenceResult(poly, samples, shots, epsilon, bound)
+    return InferenceResult(poly, samples, shots, epsilon, sup_norm_bound(epsilon, d))
 
 
 def response_polynomial(setup: SensingSetup, degree: int | None = None) -> TrigPoly:
@@ -363,28 +356,34 @@ def sensitivity(
     inferred value strays outside [-1, 1]).
     """
     if isinstance(source, TrigPoly):
-        value = source.evaluate(theta)
-        variance = max(0.0, 1.0 - value * value)
-        slope = source.derivative().evaluate(theta)
-    elif isinstance(source, SensingSetup):
-        value = exact_response(source, theta)
-        if source.observable.is_single_pauli:
-            variance = max(0.0, 1.0 - value * value)
-        else:
-            variance = response_variance(source, theta)
-        poly = response_poly if response_poly is not None else response_polynomial(source)
-        slope = poly.derivative().evaluate(theta)
-    else:
+        delta_sq, divergent, variance, slope = (
+            x[0] for x in _sensitivity_grid(source, [theta], _delta_sq)
+        )
+        return SensitivityPoint(
+            float(theta), float(variance), float(slope), float(delta_sq), bool(divergent)
+        )
+    if not isinstance(source, SensingSetup):
         raise TypeError("source must be a SensingSetup or a TrigPoly")
+    value = exact_response(source, theta)
+    if source.observable.is_single_pauli:
+        variance = max(0.0, 1.0 - value * value)
+    else:
+        variance = response_variance(source, theta)
+    poly = response_poly if response_poly is not None else response_polynomial(source)
+    slope = poly.derivative().evaluate(theta)
     divergent = abs(slope) < SLOPE_FLOOR
     delta_sq = math.inf if divergent else variance / slope**2
     return SensitivityPoint(float(theta), float(variance), float(slope), delta_sq, divergent)
 
 
-def _sensitivity_grid(poly: TrigPoly, thetas, finish) -> tuple[np.ndarray, np.ndarray]:
+def _delta_sq(variance: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    return variance / slope**2
+
+
+def _sensitivity_grid(poly: TrigPoly, thetas, finish) -> tuple[np.ndarray, ...]:
     """``finish(variance, slope)`` over a grid with the inferred-mode
     variance 1 - R~^2 (clamped at zero), inf where |slope| < SLOPE_FLOOR,
-    plus that divergence mask."""
+    plus that divergence mask, the variance and the slope."""
     grid = np.asarray(thetas, dtype=float)
     values = poly.evaluate(grid)
     slopes = poly.derivative().evaluate(grid)
@@ -393,17 +392,17 @@ def _sensitivity_grid(poly: TrigPoly, thetas, finish) -> tuple[np.ndarray, np.nd
     out = np.full_like(grid, np.inf)
     ok = ~divergent
     out[ok] = finish(variance[ok], slopes[ok])
-    return out, divergent
+    return out, divergent, variance, slopes
 
 
 def sensitivity_curve(poly: TrigPoly, thetas) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized inferred-mode sensitivity: (delta theta)^2 over a grid,
     plus the divergence mask (|slope| below SLOPE_FLOOR maps to inf)."""
-    return _sensitivity_grid(poly, thetas, lambda var, slope: var / slope**2)
+    return _sensitivity_grid(poly, thetas, _delta_sq)[:2]
 
 
-def _delta_theta_curve(poly: TrigPoly, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _sensitivity_grid(poly, grid, lambda var, slope: np.sqrt(var) / np.abs(slope))
+def _delta_theta(variance: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    return np.sqrt(variance) / np.abs(slope)
 
 
 def sensitivity_error_check(
@@ -414,7 +413,7 @@ def sensitivity_error_check(
     points: int = 200,
 ) -> SensitivityErrorReport:
     """Compare exact and inferred sensitivities over a divergence-free range
-    and check |dt_exact - dt_inferred| <= 5 eps ln(n) / min-slope.
+    and check |dt_exact - dt_inferred| <= sup_norm_bound(eps, n) / min-slope.
 
     The default ranges are (-pi/3n, pi/3n) for the GHZ setup and
     (pi/3n, pi/n) for the squeezing setup.  ``eps`` is the realized maximum
@@ -434,17 +433,16 @@ def sensitivity_error_check(
     exact_poly = response_polynomial(setup)
     result = infer_response(setup, shots=shots, seed=seed)
     grid = lo + (np.arange(points) + 0.5) * (hi - lo) / points
-    exact_delta, exact_div = _delta_theta_curve(exact_poly, grid)
-    inf_delta, inf_div = _delta_theta_curve(result.poly, grid)
+    exact_delta, exact_div, _, exact_slopes = _sensitivity_grid(exact_poly, grid, _delta_theta)
+    inf_delta, inf_div, _, _ = _sensitivity_grid(result.poly, grid, _delta_theta)
     ok = ~(exact_div | inf_div)
     abs_error = np.full_like(grid, np.nan)
     abs_error[ok] = np.abs(exact_delta[ok] - inf_delta[ok])
 
     node_truth = exact_poly.evaluate(result.samples.nodes.angles)
     epsilon = float(np.abs(node_truth - result.samples.values).max())
-    slopes = np.abs(exact_poly.derivative().evaluate(grid))
-    min_slope = float(slopes.min())
-    bound = math.inf if min_slope == 0.0 else 5.0 * epsilon * math.log(setup.n) / min_slope
+    min_slope = float(np.abs(exact_slopes).min())
+    bound = math.inf if min_slope == 0.0 else sup_norm_bound(epsilon, setup.n) / min_slope
     worst = float(np.nanmax(abs_error)) if ok.any() else 0.0
     holds = worst <= bound + 1e-8
 

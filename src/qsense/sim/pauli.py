@@ -38,21 +38,6 @@ class UnsupportedMeasurementError(ValueError):
     """Observable cannot be measured with a single per-qubit basis rotation."""
 
 
-def _single_qubit_products() -> dict[tuple[str, str], tuple[complex, str]]:
-    table = {}
-    for a in PAULI_LETTERS:
-        for b in PAULI_LETTERS:
-            prod = PAULI_MATRICES[a] @ PAULI_MATRICES[b]
-            for c in PAULI_LETTERS:
-                for phase in (1.0, -1.0, 1.0j, -1.0j):
-                    if np.allclose(prod, phase * PAULI_MATRICES[c]):
-                        table[(a, b)] = (phase, c)
-    return table
-
-
-_PRODUCTS = _single_qubit_products()
-
-
 @dataclass(frozen=True)
 class PauliString:
     """A signed tensor product of single-qubit Pauli operators.
@@ -88,25 +73,6 @@ class PauliString:
             if x != "I" and y != "I" and x != y
         )
         return clashes % 2 == 0
-
-    def compose(self, other: "PauliString") -> "PauliString":
-        """Operator product ``self @ other``.
-
-        Raises ValueError when the accumulated phase is imaginary (the
-        result then falls outside the +/-1-signed string family).  Composing
-        a string with itself always yields the identity string with sign +1.
-        """
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("qubit counts differ")
-        phase = complex(self.sign * other.sign)
-        out = []
-        for x, y in zip(self.letters, other.letters):
-            p, c = _PRODUCTS[(x, y)]
-            phase *= p
-            out.append(c)
-        if abs(phase.imag) > 1e-12:
-            raise ValueError("product phase is imaginary; not a signed Pauli string")
-        return PauliString("".join(out), int(round(phase.real)))
 
     def matrix(self) -> np.ndarray:
         """Dense matrix, for small-n oracle checks."""
@@ -183,13 +149,6 @@ class Observable:
                         "a single basis rotation cannot measure this observable"
                     )
         return "".join(letters)
-
-    def is_qubitwise_commuting(self) -> bool:
-        try:
-            self.measurement_letters()
-        except UnsupportedMeasurementError:
-            return False
-        return True
 
     def measurement_diagonal(self) -> np.ndarray:
         """Eigenvalue of the observable for each computational bitstring after

@@ -188,16 +188,13 @@ def _canonical(angles: np.ndarray) -> np.ndarray:
     return np.mod(angles, _TWO_PI)
 
 
-def _near_duplicate_pairs(angles: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    canon = _canonical(angles)
-    pairs = []
-    for i in range(len(canon)):
-        for j in range(i + 1, len(canon)):
-            gap = abs(canon[i] - canon[j])
-            gap = min(gap, _TWO_PI - gap)
-            if gap < tol:
-                pairs.append((i, j))
-    return pairs
+def _gaps(canon: np.ndarray) -> np.ndarray:
+    """Distance modulo 2 pi between every two angles in [0, 2 pi), inf on
+    the diagonal."""
+    gaps = np.abs(canon[:, None] - canon[None, :])
+    np.minimum(gaps, _TWO_PI - gaps, out=gaps)
+    np.fill_diagonal(gaps, np.inf)
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -212,7 +209,7 @@ class NodeSet:
         if len(raw) < 1 or len(raw) % 2 == 0:
             raise ValueError("a node set holds an odd number (2D+1) of angles")
         canon = _canonical(raw)
-        dupes = _near_duplicate_pairs(raw, DUPLICATE_TOL)
+        dupes = [(i, j) for i, j in np.argwhere(_gaps(canon) < DUPLICATE_TOL) if i < j]
         if dupes:
             detail = "; ".join(
                 f"nodes {i} and {j} coincide modulo 2*pi "
@@ -250,12 +247,11 @@ def equidistant_nodes(degree: int) -> NodeSet:
 
 @dataclass(frozen=True)
 class SampleVector:
-    """Per-node response values, optionally with shot counts and standard
-    errors from finite sampling."""
+    """Per-node response values, optionally with standard errors from
+    finite sampling."""
 
     nodes: NodeSet
     values: np.ndarray
-    shots: np.ndarray | None = None
     standard_errors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -264,14 +260,12 @@ class SampleVector:
             raise ValueError("value count must match node count")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        for name in ("shots", "standard_errors"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.array(arr, dtype=float).reshape(-1)
-                if len(arr) != len(self.nodes):
-                    raise ValueError(f"{name} length must match node count")
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+        if self.standard_errors is not None:
+            errs = np.array(self.standard_errors, dtype=float).reshape(-1)
+            if len(errs) != len(self.nodes):
+                raise ValueError("standard_errors length must match node count")
+            errs.flags.writeable = False
+            object.__setattr__(self, "standard_errors", errs)
 
     @property
     def degree(self) -> int:
@@ -372,22 +366,13 @@ def solve_lsp(samples: SampleVector) -> tuple[TrigPoly, ConditionReport]:
     count = 2 * d + 1
     scale = count ** (count / 2)
     if det_mag < 1e-12 * scale:
-        pairs = _near_duplicate_pairs(nodes.angles, DUPLICATE_TOL)
-        if not pairs:
-            canon = nodes.angles
-            gaps = np.abs(canon[:, None] - canon[None, :])
-            gaps = np.minimum(gaps, _TWO_PI - gaps)
-            np.fill_diagonal(gaps, np.inf)
-            i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
-            pairs = [(min(i, j), max(i, j))]
-        detail = ", ".join(
-            f"nodes {i} and {j} (theta_{i}={nodes.angles[i]:.12g}, "
-            f"theta_{j}={nodes.angles[j]:.12g})"
-            for i, j in pairs
-        )
+        # NodeSet has rejected coinciding nodes, so name the closest pair
+        gaps = _gaps(nodes.angles)
+        i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
         raise SingularNodeSetError(
             f"|det A| = {det_mag:.3e} below threshold {1e-12 * scale:.3e}; "
-            f"near-duplicate {detail}"
+            f"near-duplicate nodes {i} and {j} (theta_{i}={nodes.angles[i]:.12g}, "
+            f"theta_{j}={nodes.angles[j]:.12g})"
         )
     try:
         x = np.linalg.solve(a_matrix, samples.values)

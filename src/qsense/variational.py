@@ -16,16 +16,14 @@ noise enters during training.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .inference import response_polynomial, sensitivity_curve
-from .sim import Observable, PauliString, SensingSetup
+from .sim import Observable, PauliString, SensingSetup, build_ghz_setup
 from .sim.channels import Channel, GateOp
-from .sim.pauli import EncodingHamiltonian
-from .sim.setups import ghz_preparation
 from .trig import TrigPoly
 
 PARAMS_PER_BLOCK = 6
@@ -90,16 +88,10 @@ class TrainableMeasurement:
 
     def setup(self, params) -> SensingSetup:
         """GHZ probe + Z-sum encoding + this measurement circuit."""
-        terms = tuple(
-            PauliString("I" * j + "Z" + "I" * (self.n - j - 1)) for j in range(self.n)
-        )
-        return SensingSetup(
-            n=self.n,
-            preparation=ghz_preparation(self.n),
-            hamiltonian=EncodingHamiltonian(terms),
+        return replace(
+            build_ghz_setup(self.n),
             premeasurement=self.channel(params),
             observable=self.observable(),
-            noise=0.0,
             kind="variational",
         )
 

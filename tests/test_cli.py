@@ -60,6 +60,15 @@ def test_negative_layers_is_exit_2_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "res").exists()
 
 
+def test_infer_aliasing_degree_is_exit_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "inf"
+    assert main(["infer", "--setup", "ghz", "--n", "3", "--degree", "1", "--shots", "exact",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "degree 1" in err and "encoding degree 3" in err
+    assert not out.exists()
+
+
 def test_infer_unknown_flag_is_exit_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["infer", "--setup", "ghz", "--n", "2", "--out", str(tmp_path), "--bogus"])

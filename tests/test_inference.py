@@ -7,7 +7,6 @@ from qsense import inference
 from qsense.inference import (
     CosineFit,
     cosine_fit,
-    error_bound,
     estimate_parameter,
     infer_response,
     polylog_shot_schedule,
@@ -16,6 +15,7 @@ from qsense.inference import (
     sensitivity_curve,
     sensitivity_error_check,
     shot_budget,
+    sup_norm_bound,
 )
 from qsense.sim import (
     build_ghz_setup,
@@ -68,13 +68,13 @@ def test_polylog_schedule_values():
 
 
 def test_error_bound_values():
-    assert error_bound(0.0, 5) == 0.0
-    assert abs(error_bound(0.01, 10) - 5 * 0.01 * math.log(10)) < 1e-15
-    assert abs(error_bound(0.01, 10) - 0.11512925464970229) < 1e-15
+    assert sup_norm_bound(0.0, 5) == 0.0
+    assert abs(sup_norm_bound(0.01, 10) - 5 * 0.01 * math.log(10)) < 1e-15
+    assert abs(sup_norm_bound(0.01, 10) - 0.11512925464970229) < 1e-15
     with pytest.raises(ValueError):
-        error_bound(-0.1, 4)
-    with pytest.raises(ValueError):
-        error_bound(0.1, 1)
+        sup_norm_bound(-0.1, 4)
+    # degrees 0 and 1 use ln 2, so a nonzero epsilon never certifies a bound of 0
+    assert sup_norm_bound(0.1, 1) == sup_norm_bound(0.1, 0) == 5 * 0.1 * math.log(2)
 
 
 def test_infer_exact_ghz2_closed_form():
@@ -120,6 +120,18 @@ def test_infer_validation():
         infer_response(setup, degree=0)
     with pytest.raises(ValueError):
         infer_response(setup, shots=0)
+
+
+def test_infer_rejects_degree_below_encoding():
+    # at degree 1 the nodes 0, 2 pi/3, 4 pi/3 all read cos(3 theta) = 1
+    setup = build_ghz_setup(3)
+    with pytest.raises(ValueError, match="degree 1 .* encoding degree 3"):
+        infer_response(setup, degree=1, shots=None)
+    with pytest.raises(ValueError, match="degree 2 .* encoding degree 3"):
+        infer_response(setup, degree=2, shots=100)
+    wide = infer_response(setup, degree=4, shots=None)
+    assert wide.poly.degree == 4
+    assert abs(wide.poly.a[2] - 1.0) < 1e-12
 
 
 def test_infer_unbiased_coefficient_means():
@@ -262,6 +274,38 @@ def test_sensitivity_error_check_custom_setup_needs_range():
 
     with pytest.raises(ValueError):
         sensitivity_error_check(build_random_ansatz_setup(3, layers=2, seed=0))
+
+
+def test_sensitivity_point_equals_curve_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for degree in range(9):
+        poly = TrigPoly(rng.normal(size=degree), rng.normal(size=degree), float(rng.normal()))
+        thetas = list(rng.uniform(-TWO_PI, TWO_PI, 20))
+        if degree:
+            # extrema of cos(D theta) + c, where the slope is at round-off level
+            flat = TrigPoly(np.eye(degree)[-1], np.zeros(degree), poly.c)
+            for theta in [0.0, math.pi / degree] + thetas[:5]:
+                delta_sq, divergent = sensitivity_curve(flat, [theta])
+                point = sensitivity(flat, theta)
+                assert np.array_equal(delta_sq, [point.delta_theta_sq])
+                assert np.array_equal(divergent, [point.divergent])
+            assert sensitivity(flat, 0.0).divergent
+        for theta in thetas:
+            delta_sq, divergent = sensitivity_curve(poly, [theta])
+            point = sensitivity(poly, theta)
+            assert np.array_equal(delta_sq, [point.delta_theta_sq])
+            assert np.array_equal(divergent, [point.divergent])
+    constant = sensitivity(TrigPoly.constant(0.3), 1.0)
+    assert constant.divergent and math.isinf(constant.delta_theta_sq)
+
+
+def test_sensitivity_error_check_single_qubit_bound():
+    # ln 1 = 0 would make the bound 0 and fail the check at any epsilon > 0
+    report = sensitivity_error_check(build_ghz_setup(1), shots=200, seed=1234)
+    assert report.epsilon > 0
+    assert report.bound_value == sup_norm_bound(report.epsilon, 1) / report.min_slope
+    assert report.bound_value > 0
+    assert report.holds
 
 
 def test_sensitivity_curve_matches_pointwise():

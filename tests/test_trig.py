@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qsense.trig import (
+    DUPLICATE_TOL,
     NodeSet,
     SampleVector,
     SingularNodeSetError,
@@ -39,6 +41,54 @@ def test_node_set_rejects_duplicates_mod_2pi():
         NodeSet([0.3, 1.0, 0.3 + TWO_PI])
     with pytest.raises(ValueError):
         NodeSet([0.0, 1.0])  # even count
+
+
+def _near_duplicate_pairs(angles, tol):
+    """Loop oracle: every pair i < j whose angles lie within tol mod 2 pi."""
+    canon = np.mod(angles, TWO_PI)
+    pairs = []
+    for i in range(len(canon)):
+        for j in range(i + 1, len(canon)):
+            gap = abs(canon[i] - canon[j])
+            gap = min(gap, TWO_PI - gap)
+            if gap < tol:
+                pairs.append((i, j))
+    return pairs
+
+
+def test_node_set_rejects_exactly_the_oracle_pairs():
+    rng = np.random.default_rng(11)
+    rejected = accepted = 0
+    for _ in range(300):
+        count = 2 * int(rng.integers(1, 8)) + 1
+        angles = rng.uniform(-TWO_PI, 2 * TWO_PI, count)
+        for _ in range(int(rng.integers(0, 3))):
+            # near copies, wrapped by whole turns, just inside or outside the tolerance
+            i, j = rng.choice(count, 2, replace=False)
+            offset = DUPLICATE_TOL * rng.choice([0.0, 0.5, 0.99, 1.01, 2.0]) * rng.choice([-1, 1])
+            angles[j] = angles[i] + offset + TWO_PI * rng.integers(-2, 3)
+        pairs = _near_duplicate_pairs(angles, DUPLICATE_TOL)
+        if pairs:
+            with pytest.raises(SingularNodeSetError) as err:
+                NodeSet(angles)
+            named = re.findall(r"nodes (\d+) and (\d+) coincide", str(err.value))
+            assert [(int(i), int(j)) for i, j in named] == pairs
+            rejected += 1
+        else:
+            NodeSet(angles)
+            accepted += 1
+    assert rejected > 50 and accepted > 50
+
+
+def test_solve_lsp_names_the_closest_pair():
+    # nodes 1 and 2 (gap 1e-5) are closer than 0 and 1 (3e-5)
+    angles = [1.0, 1.0 + 3e-5, 1.0 + 4e-5, 3.0, 5.0]
+    with pytest.raises(SingularNodeSetError, match=r"near-duplicate nodes 1 and 2 \(theta_1="):
+        solve_lsp(SampleVector(NodeSet(angles), np.zeros(5)))
+    # the closest pair straddles 0 = 2 pi: nodes 0 and 1 (3e-6 apart)
+    angles = [1e-6, TWO_PI - 2e-6, TWO_PI - 1e-5, 2.0, 4.0]
+    with pytest.raises(SingularNodeSetError, match=r"near-duplicate nodes 0 and 1 \(theta_0="):
+        solve_lsp(SampleVector(NodeSet(angles), np.zeros(5)))
 
 
 def test_closed_form_degree_one_cosine():

@@ -5,8 +5,10 @@
 Runs the same fixed set of ``qsense`` commands under each tree (imported
 from ``<tree>/src``): ``infer`` exact and sampled on the ghz, random and
 squeezing setups with and without noise (among them GHZ n = 12 exact and
-at 1000 shots, whose 25 nodes run in 7 stacks of encoded states, and
-squeezing n = 8 exact, whose 57 nodes run in one), seven ``study`` configs
+at 1000 shots, whose 25 nodes run in 7 stacks of encoded states,
+squeezing n = 8 exact, whose 57 nodes run in one, squeezing n = 10 exact,
+whose 91 nodes are the largest node set, and GHZ n = 1 at 200 shots, a
+degree-1 curve and its error bound), seven ``study`` configs
 (among them a sampled-curve prediction study at n = 6, 12 with 100
 fields, whose estimates run in several blocks and whose cosine-fit grid
 screen spans two), ``estimate --out`` on one sampled and three exact
@@ -44,6 +46,8 @@ INFER = [
     ("ghz", 12, 0.0, "exact"),
     ("ghz", 12, 0.0, "1000"),
     ("squeezing", 8, 0.0, "exact"),
+    ("squeezing", 10, 0.0, "exact"),
+    ("ghz", 1, 0.0, "200"),
 ]
 
 STUDIES = [
