@@ -88,49 +88,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in doc.items() if k in known})
-
-
-# asdict of a record is its summary.json entry, so field order is key order.
-@dataclass(frozen=True)
-class InferenceRecord:
-    """Per-system-size aggregate of the inference study."""
-
-    n: int
-    runtime_seconds: float
-    median_error: float
-    max_error: float
-    bound_value: float
-    all_trials_within_bound: bool
-
-    def __post_init__(self) -> None:
-        if self.median_error > self.max_error + 1e-15:
-            raise ValueError("median error cannot exceed max error")
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """Per-system-size aggregate of the prediction study."""
-
-    n: int
-    runtime_seconds: float
-    median_prediction_error: float
-    upper_quartile_prediction_error: float
-    median_prediction_error_baseline: float
-    upper_quartile_prediction_error_baseline: float
-    worst_case_prediction_error: float
-
-
-@dataclass(frozen=True)
-class SensitivityRecord:
-    """Per-system-size aggregate of the sensitivity study."""
-
-    n: int
-    runtime_seconds: float
-    median_relative_sensitivity_error: float
-    max_relative_sensitivity_error: float
-    bound_holds_all_trials: bool
+        """The config a JSON document describes; its one key that is not a
+        field, ``study``, is left to the caller."""
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__) - {"study"})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**{k: v for k, v in doc.items() if k != "study"})
 
 
 def resolve_shots(policy: str, n: int) -> int | None:
@@ -299,24 +262,24 @@ def _sensitivity_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots
     return rows, fields, trials[0][1]
 
 
-# name -> (allowed kinds, per-n function, record, trials CSV, its header,
-# curve CSV, curve writer); file names are formatted with the kind and n.
-# The per-n function runs every repeat at one system size and returns its
-# trial rows, its record fields and the curve of the first repeat.
+# name -> (allowed kinds, per-n function, trials CSV, its header, curve
+# CSV, curve writer); file names are formatted with the kind and n.  The
+# per-n function runs every repeat at one system size and returns its trial
+# rows, its summary.json fields in key order and the curve of the first
+# repeat.
 STUDIES = {
     "inference": (
-        SETUP_KINDS, _inference_at, InferenceRecord, "trials_inference_{kind}.csv",
+        SETUP_KINDS, _inference_at, "trials_inference_{kind}.csv",
         ("n", "repeat", "median_error", "max_error", "epsilon", "bound_value"),
         "curves_{kind}_{n}.csv", write_plot_csv,
     ),
     "prediction": (
-        ("ghz",), _prediction_at, PredictionRecord, "predictions_{kind}.csv",
+        ("ghz",), _prediction_at, "predictions_{kind}.csv",
         ("n", "repeat", "theta_true", "theta_inferred", "theta_fit"),
         "curves_{kind}_{n}.csv", write_plot_csv,
     ),
     "sensitivity": (
-        ("ghz", "squeezing"), _sensitivity_at, SensitivityRecord,
-        "trials_sensitivity_{kind}.csv",
+        ("ghz", "squeezing"), _sensitivity_at, "trials_sensitivity_{kind}.csv",
         ("n", "repeat", "median_relative_error", "max_relative_error",
          "epsilon", "bound_value", "holds"),
         "sensitivity_{kind}_{n}.csv", write_sensitivity_csv,
@@ -324,11 +287,11 @@ STUDIES = {
 }
 
 
-def run_study(name: str, config: ExperimentConfig) -> list:
+def run_study(name: str, config: ExperimentConfig) -> list[dict]:
     """Run study ``name`` over ``config.n_values``, write its artifacts and
-    return one record per system size."""
+    return one record per system size, as in ``summary.json``."""
     try:
-        kinds, per_n, record, trials_csv, header, curve_csv, write_curve = STUDIES[name]
+        kinds, per_n, trials_csv, header, curve_csv, write_curve = STUDIES[name]
     except KeyError:
         raise ValueError(f"unknown study {name!r}; choose from {sorted(STUDIES)}") from None
     if config.kind not in kinds:
@@ -345,10 +308,7 @@ def run_study(name: str, config: ExperimentConfig) -> list:
         n_rows, fields, curve = per_n(config, setup, n, resolve_shots(config.shots, n))
         rows += n_rows
         write_curve(out / curve_csv.format(kind=config.kind, n=n), curve)
-        records.append(record(n=n, runtime_seconds=time.perf_counter() - start, **fields))
+        records.append({"n": n, "runtime_seconds": time.perf_counter() - start, **fields})
     _write_trials_csv(out / trials_csv.format(kind=config.kind), header, rows)
-    dump_json(
-        out / "summary.json",
-        {"study": name, "kind": config.kind, "records": [asdict(r) for r in records]},
-    )
+    dump_json(out / "summary.json", {"study": name, "kind": config.kind, "records": records})
     return records

@@ -152,7 +152,12 @@ def shot_budget(n: int, delta: float, alpha: float) -> int:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("failure probability must lie in (0, 1)")
-    raw = 50.0 * math.log(n) ** 2 * math.log((4 * n + 2) / alpha) / delta**2
+    try:
+        raw = 50.0 * math.log(n) ** 2 * math.log((4 * n + 2) / alpha) / delta**2
+    except (OverflowError, ZeroDivisionError):
+        raw = math.inf
+    if not math.isfinite(raw):
+        raise ValueError(f"delta = {delta}: delta**2 or the shot budget leaves the float range")
     return math.ceil(raw)
 
 
@@ -413,7 +418,8 @@ def sensitivity_error_check(
     points: int = 200,
 ) -> SensitivityErrorReport:
     """Compare exact and inferred sensitivities over a divergence-free range
-    and check |dt_exact - dt_inferred| <= sup_norm_bound(eps, n) / min-slope.
+    and check |dt_exact - dt_inferred| <= sup_norm_bound(eps, D) / min-slope
+    for the inferred curve's degree D.
 
     The default ranges are (-pi/3n, pi/3n) for the GHZ setup and
     (pi/3n, pi/n) for the squeezing setup.  ``eps`` is the realized maximum
@@ -442,7 +448,8 @@ def sensitivity_error_check(
     node_truth = exact_poly.evaluate(result.samples.nodes.angles)
     epsilon = float(np.abs(node_truth - result.samples.values).max())
     min_slope = float(np.abs(exact_slopes).min())
-    bound = math.inf if min_slope == 0.0 else sup_norm_bound(epsilon, setup.n) / min_slope
+    degree = result.poly.degree
+    bound = math.inf if min_slope == 0.0 else sup_norm_bound(epsilon, degree) / min_slope
     worst = float(np.nanmax(abs_error)) if ok.any() else 0.0
     holds = worst <= bound + 1e-8
 

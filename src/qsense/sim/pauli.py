@@ -58,6 +58,16 @@ class PauliString:
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
+    @classmethod
+    def on(cls, letter: str, qubits, n: int) -> "PauliString":
+        """``letter`` on each of ``qubits`` and I on the rest of ``n`` qubits."""
+        letters = ["I"] * n
+        for q in qubits:
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} outside 0..{n - 1}")
+            letters[q] = letter
+        return cls("".join(letters))
+
     @property
     def n_qubits(self) -> int:
         return len(self.letters)

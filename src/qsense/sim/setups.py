@@ -24,12 +24,13 @@ a phase (``apply_pauli_letters``).  The density-matrix path is used
 whenever any channel carries noise; otherwise the cheaper statevector path
 runs.  Both paths run the same kernels from ``states`` on the raw state
 tensor: a density tensor only adds the conjugate action on its column
-axes, so the path is a flag (``_Prepared.density``) and not a second set
-of functions.
+axes, so the path is a flag (``needs_density``, read once per call) and
+not a second set of functions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -124,16 +125,12 @@ def build_ghz_setup(n: int, noise: float = 0.0) -> SensingSetup:
     """GHZ magnetometry: GHZ probe, H = sum_j Z_j, parity readout."""
     if n < 1:
         raise ValueError("GHZ setup needs n >= 1")
-    terms = tuple(
-        PauliString("I" * j + "Z" + "I" * (n - j - 1)) for j in range(n)
-    )
-    observable = Observable(((1.0, PauliString("X" * n)),))
     return SensingSetup(
         n=n,
         preparation=ghz_preparation(n),
-        hamiltonian=EncodingHamiltonian(terms),
+        hamiltonian=EncodingHamiltonian(tuple(PauliString.on("Z", (j,), n) for j in range(n))),
         premeasurement=Channel(),
-        observable=observable,
+        observable=Observable(((1.0, PauliString.on("X", range(n), n)),)),
         noise=noise,
         kind="ghz",
     )
@@ -144,20 +141,15 @@ def build_squeezing_setup(n: int, noise: float = 0.0) -> SensingSetup:
     last qubit.  The encoding has n(n-1)/2 terms X_j X_k."""
     if n < 2:
         raise ValueError("squeezing setup needs n >= 2")
-    terms = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            letters = ["I"] * n
-            letters[j] = "X"
-            letters[k] = "X"
-            terms.append(PauliString("".join(letters)))
-    observable = Observable(((1.0, PauliString("I" * (n - 1) + "Z")),))
+    terms = tuple(
+        PauliString.on("X", (j, k), n) for j in range(n) for k in range(j + 1, n)
+    )
     return SensingSetup(
         n=n,
         preparation=Channel(),
-        hamiltonian=EncodingHamiltonian(tuple(terms)),
+        hamiltonian=EncodingHamiltonian(terms),
         premeasurement=Channel(),
-        observable=observable,
+        observable=Observable(((1.0, PauliString.on("Z", (n - 1,), n)),)),
         noise=noise,
         kind="squeezing",
     )
@@ -183,21 +175,14 @@ def build_random_ansatz_setup(
             ops.append(GateOp("rz", (q,), (float(rng.uniform(0.0, 2.0 * math.pi)),)))
         for q in range(n - 1):
             ops.append(GateOp("cnot", (q, q + 1)))
-    terms = []
-    for j in range(n - 1):
-        letters = ["I"] * n
-        letters[j] = "Z"
-        letters[j + 1] = "Z"
-        terms.append(PauliString("".join(letters)))
-    obs_terms = tuple(
-        (1.0 / n, PauliString("I" * q + "X" + "I" * (n - q - 1))) for q in range(n)
-    )
     return SensingSetup(
         n=n,
         preparation=Channel(tuple(ops)),
-        hamiltonian=EncodingHamiltonian(tuple(terms)),
+        hamiltonian=EncodingHamiltonian(
+            tuple(PauliString.on("Z", (j, j + 1), n) for j in range(n - 1))
+        ),
         premeasurement=Channel(),
-        observable=Observable(obs_terms),
+        observable=Observable(tuple((1.0 / n, PauliString.on("X", (q,), n)) for q in range(n))),
         noise=noise,
         kind="random",
     )
@@ -226,32 +211,25 @@ def _angles(theta) -> np.ndarray:
     return thetas.reshape(-1)
 
 
-class _Prepared(NamedTuple):
-    """The theta-independent part of a setup: E(|0..0><0..0|) as a tensor
-    and which path it is on."""
-
-    tensor: np.ndarray
-    density: bool
-
-
-def _prepare(setup: SensingSetup) -> _Prepared:
-    density = setup.needs_density
+def _prepare(setup: SensingSetup, density: bool) -> np.ndarray:
+    """E(|0..0><0..0|), the theta-independent part of a setup, as a tensor
+    on the statevector or (``density``) the density-matrix path."""
     cap = DEFAULT_MAX_DENSITY_QUBITS if density else DEFAULT_MAX_PURE_QUBITS
     n = setup.n
     if n > cap:
         path = "density-matrix" if density else "statevector"
         raise DimensionLimitError(f"{n} qubits exceeds the {path} cap of {cap}")
     tensor = QuantumState.zero(n, density=density).tensor()
-    tensor = setup.preparation.apply(tensor, n, density, gate_noise=setup.noise)
-    return _Prepared(tensor, density)
+    return setup.preparation.apply(tensor, n, density, gate_noise=setup.noise)
 
 
-def _encode(setup: SensingSetup, prepared: _Prepared, thetas: np.ndarray) -> np.ndarray:
+def _encode(
+    setup: SensingSetup, tensor: np.ndarray, thetas: np.ndarray, density: bool
+) -> np.ndarray:
     """The stack of state tensors after encoding and pre-measurement, one
-    entry per angle of the 1-D array ``thetas``; the prepared tensor is
+    entry per angle of the 1-D array ``thetas``; the prepared ``tensor`` is
     left untouched."""
     n = setup.n
-    tensor, density = prepared
     tensor = np.broadcast_to(tensor, (len(thetas),) + tensor.shape)
     for term in setup.hamiltonian.terms:
         tensor = pauli_rotation(tensor, term.letters, term.sign, thetas, n, density)
@@ -260,27 +238,39 @@ def _encode(setup: SensingSetup, prepared: _Prepared, thetas: np.ndarray) -> np.
 
 def _read_states(
     setup: SensingSetup,
-    prepared: _Prepared,
     thetas: np.ndarray,
-    readout: Callable[[np.ndarray], object],
+    readout: Callable[[np.ndarray, bool], object],
     basis: Channel = Channel(),
 ) -> list:
-    """``readout(state)`` of each angle's state after encoding,
-    pre-measurement and ``basis``, in angle order.
+    """``readout(state, density)`` of each angle's state after preparation,
+    encoding, pre-measurement and ``basis``, in angle order; ``density``
+    says which path the call runs on.
 
-    The angles run in consecutive stacks of at most MAX_STACK_AMPLITUDES
-    amplitudes (at least one angle each).  No name holds a stack, so each
-    is freed once read and before the next is built: with one angle per
-    stack, a call holds no more state buffers at once than a loop over
-    single angles would.
+    The preparation runs once.  The angles then run in consecutive stacks
+    of at most MAX_STACK_AMPLITUDES amplitudes (at least one angle each).
+    No name holds a stack, so each is freed once read and before the next
+    is built: with one angle per stack, a call holds no more state buffers
+    at once than a loop over single angles would.
     """
-    size = max(1, MAX_STACK_AMPLITUDES // prepared.tensor.size)
+    density = setup.needs_density
+    tensor = _prepare(setup, density)
+    size = max(1, MAX_STACK_AMPLITUDES // tensor.size)
     values = []
     for start in range(0, len(thetas), size):
-        values.extend(map(readout, basis.apply(
-            _encode(setup, prepared, thetas[start : start + size]), setup.n, prepared.density
-        )))
+        values.extend(readout(state, density) for state in basis.apply(
+            _encode(setup, tensor, thetas[start : start + size], density), setup.n, density
+        ))
     return values
+
+
+def _respond(setup: SensingSetup, theta, value) -> float | np.ndarray:
+    """``value(state, observable, density)`` at each angle of ``theta``: a
+    float for a scalar angle, an array for a 1-D array of angles."""
+    obs = setup.observable
+    values = np.array(_read_states(
+        setup, _angles(theta), lambda state, density: value(state, obs, density)
+    ))
+    return float(values[0]) if np.ndim(theta) == 0 else values
 
 
 def exact_response(setup: SensingSetup, theta) -> float | np.ndarray:
@@ -292,26 +282,17 @@ def exact_response(setup: SensingSetup, theta) -> float | np.ndarray:
     angle's value is the one a scalar call returns.  NaN or infinite
     angles raise ValueError.
     """
-    thetas = _angles(theta)
-    prepared = _prepare(setup)
-    obs, density = setup.observable, prepared.density
-    values = np.array(
-        _read_states(setup, prepared, thetas, lambda state: expectation(state, obs, density))
-    )
-    return float(values[0]) if np.ndim(theta) == 0 else values
+    return _respond(setup, theta, expectation)
+
+
+def _variance(state: np.ndarray, obs: Observable, density: bool) -> float:
+    return second_moment(state, obs, density) - expectation(state, obs, density) ** 2
 
 
 def response_variance(setup: SensingSetup, theta) -> float | np.ndarray:
     """Observable variance Tr[rho O^2] - Tr[rho O]^2 at angle theta; a
     float or a 1-D array of angles, as in ``exact_response``."""
-    thetas = _angles(theta)
-    prepared = _prepare(setup)
-    obs, density = setup.observable, prepared.density
-    values = np.array(_read_states(
-        setup, prepared, thetas,
-        lambda state: second_moment(state, obs, density) - expectation(state, obs, density) ** 2,
-    ))
-    return float(values[0]) if np.ndim(theta) == 0 else values
+    return _respond(setup, theta, _variance)
 
 
 def _measurement_rotation(letters: str) -> Channel:
@@ -361,27 +342,26 @@ def sample_response(
                 f"an array of {len(thetas)} theta values needs a sequence of "
                 f"{len(thetas)} seeds, one per angle, got {seed!r}"
             )
-    letters = setup.observable.measurement_letters()
-    prepared = _prepare(setup)
+    rotation = _measurement_rotation(setup.observable.measurement_letters())
+    # computed on the first draw, once _prepare has checked the qubit cap
+    eigs = functools.cache(setup.observable.measurement_diagonal)
     n = setup.n
-    rotation = _measurement_rotation(letters)
-    eigs = setup.observable.measurement_diagonal()
     seeds = iter(seeds)
 
-    def draw(tensor: np.ndarray) -> ShotEstimate:
-        if prepared.density:  # the diagonal as a view, without copying all 4**n entries
+    def draw(tensor: np.ndarray, density: bool) -> ShotEstimate:
+        if density:  # the diagonal as a view, without copying all 4**n entries
             probs = np.einsum(tensor, list(range(n)) * 2, list(range(n))).real.reshape(-1)
         else:
             probs = np.abs(tensor.reshape(-1)) ** 2
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum()
         counts = np.random.default_rng(next(seeds)).multinomial(shots, probs)
-        mean = float(counts @ eigs) / shots
-        second = float(counts @ (eigs**2)) / shots
+        mean = float(counts @ eigs()) / shots
+        second = float(counts @ (eigs() ** 2)) / shots
         variance = max(second - mean**2, 0.0)
         return ShotEstimate(mean, shots, math.sqrt(variance / shots))
 
-    estimates = _read_states(setup, prepared, thetas, draw, rotation)
+    estimates = _read_states(setup, thetas, draw, rotation)
     return estimates[0] if scalar else estimates
 
 

@@ -181,6 +181,8 @@ class TrigPoly:
         poly = cls(np.asarray(doc["a"], dtype=float), np.asarray(doc["b"], dtype=float), doc["c"])
         if poly.degree != doc.get("degree", poly.degree):
             raise ValueError("degree field inconsistent with coefficient arrays")
+        if not (np.isfinite(poly.a).all() and np.isfinite(poly.b).all() and math.isfinite(poly.c)):
+            raise ValueError("polynomial coefficients a, b and c must be finite")
         return poly
 
 
@@ -302,9 +304,10 @@ def coeffs_closed_form(samples: SampleVector) -> TrigPoly:
 class ConditionReport:
     """Conditioning diagnostics for the interpolation matrix.
 
-    ``det_magnitude`` is |det A| from the closed product formula;
-    ``sigma_min_lower_bound`` is the row-norm lower bound on the smallest
-    singular value (reported, never used for rejection).
+    ``det_magnitude`` is |det A| from the closed product formula (inf
+    where it exceeds the float range); ``sigma_min_lower_bound`` is the
+    row-norm lower bound on the smallest singular value (reported, never
+    used for rejection).
     """
 
     det_magnitude: float
@@ -321,56 +324,58 @@ def interpolation_matrix(nodes: NodeSet) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _log_det(angles: np.ndarray) -> float:
+    """ln |det A| = sum_{i<j} ln |e^{i theta_i} - e^{i theta_j}| - D ln 2,
+    -inf when two angles coincide.  Summed in log space, so it stays finite
+    where the product of the 2D(2D+1)/2 distances leaves the float range."""
+    z = np.exp(1j * angles)
+    diff = np.abs(z[:, None] - z[None, :])[np.triu_indices(len(z), k=1)]
+    with np.errstate(divide="ignore"):
+        return float(np.log(diff).sum()) - (len(angles) - 1) // 2 * math.log(2.0)
+
+
 def det_bound(nodes) -> float:
     """|det A| = 2^-D prod_{i<j} |e^{i theta_i} - e^{i theta_j}|.
 
     Accepts a NodeSet or a raw angle sequence (which may contain repeats,
     giving 0).  Maximized by the equidistant node set, and invariant under
-    a common rotation of all nodes.
+    a common rotation of all nodes.  Reads inf where |det A| exceeds the
+    float range (from D = 143 on equidistant nodes).
     """
     angles = nodes.angles if isinstance(nodes, NodeSet) else np.asarray(nodes, float)
     if len(angles) < 3:
         raise ValueError("det_bound needs at least 3 nodes (degree >= 1)")
-    d = (len(angles) - 1) // 2
-    z = np.exp(1j * angles)
-    diff = np.abs(z[:, None] - z[None, :])
-    product = float(np.prod(diff[np.triu_indices(len(z), k=1)]))
-    return product / 2.0**d
-
-
-def _sigma_min_lower_bound(a_matrix: np.ndarray, det_magnitude: float) -> float:
-    m = a_matrix.shape[0]
-    row_norms = np.linalg.norm(a_matrix, axis=1)
-    prod = float(np.prod(row_norms))
-    if prod == 0.0:
-        return 0.0
-    factor = ((m - 1) / m) ** ((m - 1) / 2) if m > 1 else 1.0
-    return factor * det_magnitude * float(row_norms.min()) / prod
+    with np.errstate(over="ignore"):
+        return float(np.exp(_log_det(angles)))
 
 
 def solve_lsp(samples: SampleVector) -> tuple[TrigPoly, ConditionReport]:
     """Coefficient recovery for arbitrary (distinct) nodes via the explicit
     linear system, solved by row-pivoted elimination.
 
-    Raises SingularNodeSetError when |det A| falls below
-    1e-12 * (2D+1)^((2D+1)/2) (the Hadamard scale of A), naming the closest
-    node pair.  On equidistant nodes the result agrees with
-    ``coeffs_closed_form`` to solver precision.
+    Raises SingularNodeSetError, naming the closest node pair, when |det A|
+    falls below 1e-12 of its Hadamard bound prod_k |row_k| =
+    (D+1)^((2D+1)/2); equidistant nodes reach about 0.86 of that bound at
+    every degree.  The determinant, the bound and the row-norm lower bound
+    ((m-1)/m)^((m-1)/2) |det A| min_k |row_k| / prod_k |row_k| on the
+    smallest singular value of the m x m matrix are all taken in log space,
+    so they hold at any degree.  On equidistant nodes the result agrees
+    with ``coeffs_closed_form`` to solver precision.
     """
     nodes = samples.nodes
     d = nodes.degree
     if d == 0:
         return TrigPoly.constant(float(samples.values[0])), ConditionReport(1.0, 1.0)
     a_matrix = interpolation_matrix(nodes)
-    det_mag = det_bound(nodes)
-    count = 2 * d + 1
-    scale = count ** (count / 2)
-    if det_mag < 1e-12 * scale:
+    log_det = _log_det(nodes.angles)
+    log_norms = np.log(np.linalg.norm(a_matrix, axis=1))  # no row is zero
+    log_ratio = log_det - float(log_norms.sum())
+    if log_ratio < math.log(1e-12):
         # NodeSet has rejected coinciding nodes, so name the closest pair
         gaps = _gaps(nodes.angles)
         i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
         raise SingularNodeSetError(
-            f"|det A| = {det_mag:.3e} below threshold {1e-12 * scale:.3e}; "
+            f"|det A| is {math.exp(log_ratio):.3e} of its Hadamard bound, below 1e-12; "
             f"near-duplicate nodes {i} and {j} (theta_{i}={nodes.angles[i]:.12g}, "
             f"theta_{j}={nodes.angles[j]:.12g})"
         )
@@ -379,8 +384,11 @@ def solve_lsp(samples: SampleVector) -> tuple[TrigPoly, ConditionReport]:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - caught by det check
         raise SingularNodeSetError(str(exc)) from exc
     poly = TrigPoly(x[:d], x[d : 2 * d], float(x[2 * d]))
-    report = ConditionReport(det_mag, _sigma_min_lower_bound(a_matrix, det_mag))
-    return poly, report
+    m = len(a_matrix)
+    log_sigma = (m - 1) / 2 * math.log((m - 1) / m) + log_ratio + float(log_norms.min())
+    with np.errstate(over="ignore"):
+        det_mag = float(np.exp(log_det))
+    return poly, ConditionReport(det_mag, math.exp(log_sigma))
 
 
 def write_curve_csv(

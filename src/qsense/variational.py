@@ -82,9 +82,7 @@ class TrainableMeasurement:
         return Channel(tuple(ops))
 
     def observable(self) -> Observable:
-        letters = ["I"] * self.n
-        letters[self.readout] = "Z"
-        return Observable(((1.0, PauliString("".join(letters))),))
+        return Observable(((1.0, PauliString.on("Z", (self.readout,), self.n)),))
 
     def setup(self, params) -> SensingSetup:
         """GHZ probe + Z-sum encoding + this measurement circuit."""

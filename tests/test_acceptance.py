@@ -198,11 +198,13 @@ def test_criterion_07_prediction_vs_cosine_fit(tmp_path):
         window = math.pi / (10.0 * row["n"])
         fit_within_window &= abs(row["theta_fit"] - row["theta_true"]) <= window + 1e-9
     inferred_wins = all(
-        r.median_prediction_error <= r.median_prediction_error_baseline + 1e-9 for r in records
+        r["median_prediction_error"] <= r["median_prediction_error_baseline"] + 1e-9
+        for r in records
     )
     elapsed = time.perf_counter() - start
     medians = ", ".join(
-        f"n={r.n}: {r.median_prediction_error:.1e} vs fit {r.median_prediction_error_baseline:.1e}"
+        f"n={r['n']}: {r['median_prediction_error']:.1e} "
+        f"vs fit {r['median_prediction_error_baseline']:.1e}"
         for r in records
     )
     _report(

@@ -30,6 +30,13 @@ def test_budget_rejects_non_finite_delta(capsys, delta):
     assert "delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["1e-300", "1e-160", "1e200"])
+def test_budget_rejects_delta_whose_square_leaves_float_range(capsys, delta):
+    # 1e-300 squares to 0, 1e-160 gives an infinite budget, 1e200 squares past the max
+    assert main(["budget", "--n", "4", "--delta", delta, "--alpha", "0.1"]) == 2
+    assert "delta" in capsys.readouterr().err
+
+
 def test_infer_curve_matches_cos_4theta(tmp_path):
     out = tmp_path / "d"
     assert main(["infer", "--setup", "ghz", "--n", "4", "--shots", "exact",
@@ -137,6 +144,29 @@ def test_estimate_far_from_zero_returns(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert 1e6 <= doc["theta_star"] <= 1e6 + 1.0
     assert doc["residual"] < 1e-6
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"a": [math.nan], "b": [0.0], "c": 0.0},
+        {"a": [1.0], "b": [math.inf], "c": 0.0},
+        {"a": [1.0], "b": [0.0], "c": -math.inf},
+    ],
+)
+def test_non_finite_poly_file_is_exit_2_before_any_output(tmp_path, capsys, doc):
+    poly_file = tmp_path / "bad.json"
+    poly_file.write_text(json.dumps(doc))
+    runs = [
+        ["estimate", "--poly", str(poly_file), "--measured", "0.5", "--lo", "0.0", "--hi", "1.0"],
+        ["sensitivity", "--poly", str(poly_file), "--lo", "0.0", "--hi", "1.0"],
+    ]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"o{i}"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+        assert not out.exists()
 
 
 def test_sensitivity_setup_mode(tmp_path):

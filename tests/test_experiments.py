@@ -7,7 +7,6 @@ import pytest
 from qsense.cli import main
 from qsense.experiments import (
     ExperimentConfig,
-    InferenceRecord,
     resolve_shots,
     run_study,
 )
@@ -60,7 +59,8 @@ def test_config_validation_and_round_trip(tmp_path):
             ExperimentConfig(kind="ghz", n_values=(2,), noise=noise)
     bad_shots = [("0", [2], "shots"), ("-4", [2], "shots"), ("polylog", [1, 2], "n >= 2"),
                  ("budget:0.1,0.05", [2, 1], "n >= 2"), ("budget:inf,0.05", [2], "delta"),
-                 ("budget:nan,0.05", [3], "delta")]
+                 ("budget:nan,0.05", [3], "delta"), ("budget:1e-300,0.1", [2], "delta"),
+                 ("budget:1e-160,0.1", [4], "delta")]
     for shots, n_values, message in bad_shots:
         doc = {"kind": "ghz", "n_values": n_values, "shots": shots,
                "out_dir": str(tmp_path / "out"), "study": "inference"}
@@ -71,12 +71,17 @@ def test_config_validation_and_round_trip(tmp_path):
         assert not (tmp_path / "out").exists()  # rejected before any file is written
 
 
-def test_inference_record_median_le_max():
-    with pytest.raises(ValueError):
-        InferenceRecord(
-            n=2, runtime_seconds=0.0, median_error=2.0, max_error=1.0,
-            bound_value=0.0, all_trials_within_bound=True,
-        )
+def test_config_rejects_unknown_keys_before_any_output(tmp_path, capsys):
+    doc = {"kind": "ghz", "n_values": [2], "repeates": 5, "study": "inference",
+           "out_dir": str(tmp_path / "out")}
+    with pytest.raises(ValueError, match="repeates"):
+        ExperimentConfig.from_json_dict(doc)
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert main(["study", "--config", str(tmp_path / "config.json")]) == 2
+    assert "repeates" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    del doc["repeates"]
+    assert ExperimentConfig.from_json_dict(doc).repeats == 1
 
 
 def test_inference_study_exact_is_machine_precise(tmp_path):
@@ -85,11 +90,11 @@ def test_inference_study_exact_is_machine_precise(tmp_path):
         out_dir=str(tmp_path / "out"), test_points=500,
     )
     records = run_study("inference", config)
-    assert [r.n for r in records] == [2, 3, 4]
+    assert [r["n"] for r in records] == [2, 3, 4]
     for record in records:
-        assert record.max_error < 1e-8
-        assert record.median_error <= record.max_error
-        assert record.all_trials_within_bound
+        assert record["max_error"] < 1e-8
+        assert record["median_error"] <= record["max_error"]
+        assert record["all_trials_within_bound"]
     out = tmp_path / "out"
     assert (out / "config.json").exists()
     assert (out / "summary.json").exists()
@@ -127,10 +132,10 @@ def test_inference_study_csv_round_trip(tmp_path):
     records = run_study("inference", config)
     rows = np.genfromtxt(tmp_path / "trials_inference_ghz.csv", delimiter=",", names=True)
     for record in records:
-        mask = rows["n"] == record.n
-        assert float(np.median(rows["median_error"][mask])) == record.median_error
-        assert float(rows["max_error"][mask].max()) == record.max_error
-        assert float(np.median(rows["bound_value"][mask])) == record.bound_value
+        mask = rows["n"] == record["n"]
+        assert float(np.median(rows["median_error"][mask])) == record["median_error"]
+        assert float(rows["max_error"][mask].max()) == record["max_error"]
+        assert float(np.median(rows["bound_value"][mask])) == record["bound_value"]
 
 
 def test_prediction_study_exact_mode(tmp_path):
@@ -140,10 +145,10 @@ def test_prediction_study_exact_mode(tmp_path):
     )
     records = run_study("prediction", config)
     for record in records:
-        assert record.median_prediction_error < 1e-7
-        assert record.upper_quartile_prediction_error < 1e-7
-        window = math.pi / (10 * record.n)
-        assert record.worst_case_prediction_error == window
+        assert record["median_prediction_error"] < 1e-7
+        assert record["upper_quartile_prediction_error"] < 1e-7
+        window = math.pi / (10 * record["n"])
+        assert record["worst_case_prediction_error"] == window
     rows = np.genfromtxt(tmp_path / "predictions_ghz.csv", delimiter=",", names=True)
     for row in rows:
         window = math.pi / (10 * row["n"])
@@ -165,8 +170,9 @@ def test_prediction_study_noisy_with_exact_curves(tmp_path):
     )
     records = run_study("prediction", config)
     for record in records:
-        assert record.median_prediction_error <= record.median_prediction_error_baseline + 1e-9
-        assert record.median_prediction_error <= record.worst_case_prediction_error + 1e-9
+        median = record["median_prediction_error"]
+        assert median <= record["median_prediction_error_baseline"] + 1e-9
+        assert median <= record["worst_case_prediction_error"] + 1e-9
 
 
 def test_sensitivity_study_ghz_exact(tmp_path):
@@ -175,8 +181,8 @@ def test_sensitivity_study_ghz_exact(tmp_path):
     )
     records = run_study("sensitivity", config)
     record = records[0]
-    assert record.bound_holds_all_trials
-    assert record.median_relative_sensitivity_error < 1e-8
+    assert record["bound_holds_all_trials"]
+    assert record["median_relative_sensitivity_error"] < 1e-8
     rows = np.genfromtxt(tmp_path / "sensitivity_ghz_4.csv", delimiter=",", names=True)
     finite = np.isfinite(rows["exact_delta_sq"])
     assert finite.all()
@@ -191,8 +197,8 @@ def test_sensitivity_study_squeezing_with_shots(tmp_path):
     )
     records = run_study("sensitivity", config)
     record = records[0]
-    assert record.bound_holds_all_trials
-    assert math.isfinite(record.median_relative_sensitivity_error)
+    assert record["bound_holds_all_trials"]
+    assert math.isfinite(record["median_relative_sensitivity_error"])
     rows = np.genfromtxt(tmp_path / "sensitivity_squeezing_4.csv", delimiter=",", names=True)
     assert (rows["divergent"] == 0).all()
 
@@ -258,6 +264,6 @@ def test_study_output_structure(tmp_path, study, kind, trials, curves, keys, hea
 def test_run_study_dispatch(tmp_path):
     config = ExperimentConfig(kind="ghz", n_values=(2,), out_dir=str(tmp_path), test_points=100)
     records = run_study("inference", config)
-    assert records[0].n == 2
+    assert records[0]["n"] == 2
     with pytest.raises(ValueError):
         run_study("nope", config)

@@ -308,6 +308,15 @@ def test_sensitivity_error_check_single_qubit_bound():
     assert report.holds
 
 
+@pytest.mark.parametrize("kind, n, degree", [("squeezing", 4, 6), ("ghz", 4, 4)])
+def test_sensitivity_error_check_bound_keyed_on_degree(kind, n, degree):
+    # the squeezing encoding has n(n-1)/2 = 6 terms at n = 4, so its curve
+    # has degree 6 and the bound carries ln 6, not ln n = ln 4
+    report = sensitivity_error_check(build_setup(kind, n, 0.0, 4, 0), shots=1000, seed=1234)
+    assert report.epsilon > 0
+    assert report.bound_value == sup_norm_bound(report.epsilon, degree) / report.min_slope
+
+
 def test_sensitivity_curve_matches_pointwise():
     poly = response_polynomial(build_ghz_setup(3))
     grid = np.linspace(0.02, 0.9, 25)

@@ -34,6 +34,15 @@ def test_parse_round_trip():
         assert str(PauliString.parse(text)) == text
 
 
+def test_on_places_letters_on_given_qubits():
+    assert PauliString.on("Z", (1,), 4) == PauliString("IZII")
+    assert PauliString.on("X", (0, 3), 4) == PauliString("XIIX")
+    assert PauliString.on("Y", range(3), 3) == PauliString("YYY")
+    for qubit in (-1, 4):
+        with pytest.raises(ValueError, match="qubit"):
+            PauliString.on("Z", (qubit,), 4)
+
+
 def test_invalid_letters_and_sign_rejected():
     with pytest.raises(ValueError):
         PauliString("XA")

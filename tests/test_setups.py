@@ -254,7 +254,9 @@ def test_variance_matches_dense_oracle():
     # oracle: 1 - R^2 does NOT hold for the averaged-X observable, but the
     # dense matrix moment does
     obs_mat = setup.observable.matrix()
-    rho_vec = _encode(setup, _prepare(setup), np.array([theta]))[0].reshape(-1)
+    density = setup.needs_density
+    prepared = _prepare(setup, density)
+    rho_vec = _encode(setup, prepared, np.array([theta]), density)[0].reshape(-1)
     mean = (rho_vec.conj() @ obs_mat @ rho_vec).real
     second = (rho_vec.conj() @ obs_mat @ obs_mat @ rho_vec).real
     assert abs(var - (second - mean**2)) < 1e-12
@@ -327,7 +329,7 @@ def _batching_setups():
 def test_batched_and_looped_simulators_agree(setup, monkeypatch):
     if setup.n <= 3:  # shrink the stacks of small states to a few states each
         monkeypatch.setattr(setups, "MAX_STACK_AMPLITUDES", 16)
-    per_stack = max(1, setups.MAX_STACK_AMPLITUDES // _prepare(setup).tensor.size)
+    per_stack = max(1, setups.MAX_STACK_AMPLITUDES // _prepare(setup, setup.needs_density).size)
     assert per_stack <= 8
     rng = np.random.default_rng(setup.n)
     for count in (1, per_stack, 2 * per_stack + 1):
@@ -354,7 +356,7 @@ def test_pure_and_density_paths_agree_at_zero_noise(setup):
     # a zero-probability depolarizing step changes nothing but the path taken
     ops = setup.premeasurement.ops + (DepolarizeOp(0.0),)
     forced = dataclasses.replace(setup, premeasurement=Channel(ops))
-    assert not _prepare(setup).density and _prepare(forced).density
+    assert not setup.needs_density and forced.needs_density
     thetas = np.random.default_rng(24).uniform(0.0, 2 * math.pi, 9)
     pure = exact_response(setup, thetas)
     assert np.abs(exact_response(forced, thetas) - pure).max() < 1e-12
@@ -413,17 +415,18 @@ def _oracle_setups():
 def test_encoding_matches_dense_oracle(setup):
     from scipy.linalg import expm
 
-    prepared = _prepare(setup)
+    density = setup.needs_density
+    prepared = _prepare(setup, density)
     dim = 2**setup.n
-    start = prepared.tensor.reshape(dim, -1)
+    start = prepared.reshape(dim, -1)
     for theta in np.random.default_rng(23).uniform(-math.pi, 3 * math.pi, 5):
         u = expm(-0.5j * theta * setup.hamiltonian.matrix())
-        encoded = u @ start @ u.conj().T if prepared.density else u @ start.reshape(-1)
-        shape = [2] * (2 * setup.n if prepared.density else setup.n)
+        encoded = u @ start @ u.conj().T if density else u @ start.reshape(-1)
+        shape = [2] * (2 * setup.n if density else setup.n)
         oracle = setup.premeasurement.apply(
-            encoded.reshape(shape), setup.n, prepared.density, gate_noise=setup.noise
+            encoded.reshape(shape), setup.n, density, gate_noise=setup.noise
         ).reshape(encoded.shape)
-        got = _encode(setup, prepared, np.array([theta]))[0].reshape(encoded.shape)
+        got = _encode(setup, prepared, np.array([theta]), density)[0].reshape(encoded.shape)
         assert np.abs(got - oracle).max() < 1e-12
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,21 @@ def test_det_bound_matches_numpy_det():
         nodes = NodeSet(angles)
         direct = abs(np.linalg.det(interpolation_matrix(nodes)))
         assert abs(det_bound(nodes) - direct) < 1e-9 * max(1.0, direct)
+
+
+@pytest.mark.parametrize("degree", [50, 100, 200])
+def test_solve_lsp_large_equidistant_sets(degree):
+    # the determinant's product overflows from D = 143, and a threshold of
+    # (2D+1)^((2D+1)/2) would reject every node set from D = 40 on
+    nodes = equidistant_nodes(degree)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        poly, report = solve_lsp(SampleVector(nodes, np.cos(3 * nodes.angles)))
+    grid = np.linspace(0.0, TWO_PI, 1001)
+    assert np.abs(poly.evaluate(grid) - np.cos(3 * grid)).max() < 1e-9
+    sigma_min = np.linalg.svd(interpolation_matrix(nodes), compute_uv=False).min()
+    assert 0.0 < report.sigma_min_lower_bound <= sigma_min
+    assert report.det_magnitude > 0
 
 
 def test_det_bound_repeated_node_is_zero():

@@ -14,9 +14,11 @@ fields, whose estimates run in several blocks and whose cosine-fit grid
 screen spans two), ``estimate --out`` on one sampled and three exact
 ``infer`` outputs (measured 0.3; 1.0, a flat extremum; 1.5, out of
 range),
-``sensitivity`` in setup and ``--poly`` mode, ``train --n 4 --epochs 20``
-and ``train --n 5 --epochs 10`` (an odd qubit count, so the coarsening
-keeps one qubit back in its first round).
+``sensitivity`` in setup mode (among them squeezing n = 4 at 1000 shots,
+whose error bound takes its curve's degree, 6, and not n) and in
+``--poly`` mode, ``train --n 4 --epochs 20`` and ``train --n 5 --epochs
+10`` (an odd qubit count, so the coarsening keeps one qubit back in its
+first round).
 Every output file is then compared byte for byte, except that
 ``runtime_seconds`` in ``summary.json`` and ``out_dir`` in ``config.json``
 are ignored.  Prints one line per differing output or failing command and
@@ -91,6 +93,8 @@ def commands(work: Path) -> list[list[str]]:
                  "--out", "sens_setup"])
     cmds.append(["sensitivity", "--setup", "squeezing", "--n", "4", "--shots", "exact",
                  "--out", "sens_squeezing"])
+    cmds.append(["sensitivity", "--setup", "squeezing", "--n", "4", "--shots", "1000",
+                 "--out", "sens_squeezing_1000"])
     cmds.append(["sensitivity", "--poly", "infer_ghz_10_0.0_exact/inference.json",
                  "--lo", "-0.1", "--hi", "0.1", "--points", "101", "--out", "sens_poly"])
     cmds.append(["train", "--n", "4", "--epochs", "20", "--out", "train"])
