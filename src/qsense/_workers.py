@@ -27,9 +27,9 @@ def worker_count() -> int:
         return 1
 
 
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], workers: int | None = None) -> list[R]:
+def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     items = list(items)
-    count = worker_count() if workers is None else max(1, workers)
+    count = worker_count()
     if count <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=count) as pool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,7 @@ def cmd_estimate(args) -> int:
 
     poly = _load_poly(args.poly)
     outcome = estimate_parameter(poly, args.measured, (args.lo, args.hi))
-    text = json.dumps(outcome.to_json_dict(), indent=2)
+    text = json.dumps(asdict(outcome), indent=2)
     print(text)
     if args.out:
         out = Path(args.out)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -59,18 +60,19 @@ class ExperimentConfig:
     exact_curves: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in SETUP_KINDS:
-            raise ValueError(f"kind must be one of {SETUP_KINDS}")
-        values = tuple(int(n) for n in self.n_values)
-        if not values:
-            raise ValueError("n_values must be nonempty")
-        for name in ("repeats", "test_points", "prediction_fields"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.layers < 0:
-            raise ValueError(f"layers must be >= 0, got {self.layers}")
-        if not 0.0 <= self.noise <= 1.0:
-            raise ValueError(f"noise probability {self.noise} outside [0, 1]")
+        if not isinstance(self.n_values, (list, tuple)) or not self.n_values:
+            raise ValueError(f"n_values must be a nonempty list, got {self.n_values!r}")
+        values = tuple(_integer("each n_values entry", n) for n in self.n_values)
+        # layers is checked here because the GHZ and squeezing builders
+        # ignore it; numpy would reject a negative seed only mid-study
+        for name, low in (("repeats", 1), ("base_seed", 0), ("layers", 0),
+                          ("test_points", 1), ("prediction_fields", 1)):
+            value = _integer(name, getattr(self, name))
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+            object.__setattr__(self, name, value)
+        if not isinstance(self.exact_curves, bool):
+            raise ValueError(f"exact_curves must be true or false, got {self.exact_curves!r}")
         cap = 8 if self.noise > 0 else 12
         if max(values) > cap:
             path = "noisy (density-matrix)" if self.noise > 0 else "statevector"
@@ -79,12 +81,8 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "n_values", values)
         for n in values:  # fail before any file is written
+            build_setup(self.kind, n, self.noise, self.layers, 0)
             resolve_shots(self.shots, n)
-
-    def to_json_dict(self) -> dict:
-        doc = asdict(self)
-        doc["n_values"] = list(self.n_values)
-        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -94,6 +92,16 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**{k: v for k, v in doc.items() if k != "study"})
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or any non-integer raises ValueError."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def resolve_shots(policy: str, n: int) -> int | None:
@@ -126,18 +134,20 @@ def resolve_shots(policy: str, n: int) -> int | None:
     return shots
 
 
-def _trial_seed(base: int, n: int, repeat: int, salt: int = 0) -> int:
-    return int(np.random.default_rng([base, n, repeat, salt]).integers(2**31))
+def _trial_seed(base: int, n: int, repeat: int) -> int:
+    return int(np.random.default_rng([base, n, repeat, 0]).integers(2**31))
 
 
 def dump_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _write_trials_csv(path: Path, header: tuple[str, ...], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+def _write_trials_csv(path: Path, rows: list[dict]) -> None:
+    """One line per row under a header of the first row's keys."""
+    lines = [",".join(rows[0])] + [
+        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row.values())
+        for row in rows
+    ]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -177,19 +187,20 @@ def _inference_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_n
         err = np.abs(res.poly.evaluate(grid) - truth)
         node_truth = exact_poly.evaluate(res.samples.nodes.angles)
         eps_true = float(np.abs(res.samples.values - node_truth).max())
-        bound = sup_norm_bound(eps_true, res.poly.degree)
-        return [n, repeat, float(np.median(err)), float(err.max()), eps_true, bound], res.poly
+        row = dict(n=n, repeat=repeat, median_error=float(np.median(err)),
+                   max_error=float(err.max()), epsilon=eps_true,
+                   bound_value=sup_norm_bound(eps_true, res.poly.degree))
+        return row, res.poly
 
     trials = parallel_map(trial, range(config.repeats))
     rows = [row for row, _ in trials]
-    _, _, medians, worsts, _, bounds = zip(*rows)
     fields = dict(
-        median_error=float(np.median(medians)),
-        max_error=float(max(worsts)),
-        bound_value=float(np.median(bounds)),
+        median_error=float(np.median([r["median_error"] for r in rows])),
+        max_error=float(max(r["max_error"] for r in rows)),
+        bound_value=float(np.median([r["bound_value"] for r in rows])),
         # +1e-8 absorbs float round-off in the exact-expectation mode,
         # where both the errors and the bound sit at machine scale
-        all_trials_within_bound=bool(all(w <= b + 1e-8 for w, b in zip(worsts, bounds))),
+        all_trials_within_bound=all(r["max_error"] <= r["bound_value"] + 1e-8 for r in rows),
     )
     return rows, fields, trials[0][1]
 
@@ -220,15 +231,16 @@ def _prediction_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_
         est_inf = estimate_parameter(res.poly, values, domain)
         est_fit = estimate_parameter(fit, values, domain)
         rows = [
-            [n, repeat, theta_true, by_poly.theta_star, by_fit.theta_star]
+            dict(n=n, repeat=repeat, theta_true=theta_true,
+                 theta_inferred=by_poly.theta_star, theta_fit=by_fit.theta_star)
             for theta_true, by_poly, by_fit in zip(thetas.tolist(), est_inf, est_fit)
         ]
         return rows, res.poly
 
     trials = parallel_map(trial, range(config.repeats))
     rows = [row for repeat_rows, _ in trials for row in repeat_rows]
-    err_inf = [abs(t_inf - theta_true) for _, _, theta_true, t_inf, _ in rows]
-    err_fit = [abs(t_fit - theta_true) for _, _, theta_true, _, t_fit in rows]
+    err_inf = [abs(r["theta_inferred"] - r["theta_true"]) for r in rows]
+    err_fit = [abs(r["theta_fit"] - r["theta_true"]) for r in rows]
     fields = dict(
         median_prediction_error=float(np.median(err_inf)),
         upper_quartile_prediction_error=float(np.quantile(err_inf, 0.75)),
@@ -247,41 +259,39 @@ def _sensitivity_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots
         rep = sensitivity_error_check(
             setup, shots=shots_n, seed=_trial_seed(config.base_seed, n, repeat)
         )
-        row = [n, repeat, rep.median_relative_error, rep.max_relative_error,
-               rep.epsilon, rep.bound_value, int(rep.holds)]
+        row = dict(n=n, repeat=repeat, median_relative_error=rep.median_relative_error,
+                   max_relative_error=rep.max_relative_error, epsilon=rep.epsilon,
+                   bound_value=rep.bound_value, holds=int(rep.holds))
         return row, rep
 
     trials = parallel_map(trial, range(config.repeats))
     rows = [row for row, _ in trials]
-    _, _, medians, worsts, _, _, holds = zip(*rows)
     fields = dict(
-        median_relative_sensitivity_error=float(np.median(medians)),
-        max_relative_sensitivity_error=float(max(worsts)),
-        bound_holds_all_trials=bool(all(holds)),
+        median_relative_sensitivity_error=float(
+            np.median([r["median_relative_error"] for r in rows])
+        ),
+        max_relative_sensitivity_error=float(max(r["max_relative_error"] for r in rows)),
+        bound_holds_all_trials=all(r["holds"] for r in rows),
     )
     return rows, fields, trials[0][1]
 
 
-# name -> (allowed kinds, per-n function, trials CSV, its header, curve
-# CSV, curve writer); file names are formatted with the kind and n.  The
-# per-n function runs every repeat at one system size and returns its trial
-# rows, its summary.json fields in key order and the curve of the first
-# repeat.
+# name -> (allowed kinds, per-n function, trials CSV, curve CSV, curve
+# writer); file names are formatted with the kind and n.  The per-n
+# function runs every repeat at one system size and returns its trial rows
+# (dicts in CSV column order), its summary.json fields in key order and the
+# curve of the first repeat.
 STUDIES = {
     "inference": (
         SETUP_KINDS, _inference_at, "trials_inference_{kind}.csv",
-        ("n", "repeat", "median_error", "max_error", "epsilon", "bound_value"),
         "curves_{kind}_{n}.csv", write_plot_csv,
     ),
     "prediction": (
         ("ghz",), _prediction_at, "predictions_{kind}.csv",
-        ("n", "repeat", "theta_true", "theta_inferred", "theta_fit"),
         "curves_{kind}_{n}.csv", write_plot_csv,
     ),
     "sensitivity": (
         ("ghz", "squeezing"), _sensitivity_at, "trials_sensitivity_{kind}.csv",
-        ("n", "repeat", "median_relative_error", "max_relative_error",
-         "epsilon", "bound_value", "holds"),
         "sensitivity_{kind}_{n}.csv", write_sensitivity_csv,
     ),
 }
@@ -291,16 +301,16 @@ def run_study(name: str, config: ExperimentConfig) -> list[dict]:
     """Run study ``name`` over ``config.n_values``, write its artifacts and
     return one record per system size, as in ``summary.json``."""
     try:
-        kinds, per_n, trials_csv, header, curve_csv, write_curve = STUDIES[name]
+        kinds, per_n, trials_csv, curve_csv, write_curve = STUDIES[name]
     except KeyError:
         raise ValueError(f"unknown study {name!r}; choose from {sorted(STUDIES)}") from None
     if config.kind not in kinds:
         raise ValueError(f"the {name} study is defined for the {' or '.join(kinds)} kind")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dump_json(out / "config.json", config.to_json_dict())
+    dump_json(out / "config.json", asdict(config))
     records = []
-    rows: list[list] = []
+    rows: list[dict] = []
     for n in config.n_values:
         start = time.perf_counter()
         ansatz_seed = int(np.random.default_rng([config.base_seed, n, 424242]).integers(2**63))
@@ -309,6 +319,6 @@ def run_study(name: str, config: ExperimentConfig) -> list[dict]:
         rows += n_rows
         write_curve(out / curve_csv.format(kind=config.kind, n=n), curve)
         records.append({"n": n, "runtime_seconds": time.perf_counter() - start, **fields})
-    _write_trials_csv(out / trials_csv.format(kind=config.kind), header, rows)
+    _write_trials_csv(out / trials_csv.format(kind=config.kind), rows)
     dump_json(out / "summary.json", {"study": name, "kind": config.kind, "records": records})
     return records

@@ -26,9 +26,12 @@ from .sim.setups import (
 from .trig import SampleVector, TrigPoly, coeffs_closed_form, equidistant_nodes
 
 SLOPE_FLOOR = 1e-8
+# 4097 nodes, whose (2D+1)**2 duplicate check in NodeSet holds 134 MB
+MAX_DEGREE = 2048
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SLOPE_POINTS = 512
 _GRID_POINTS = 1024
+_BRACKET_WIDTH = 1e-10
 # float64 values in one block of batched temporaries: 256 KiB, the
 # simulator's stack of MAX_STACK_AMPLITUDES complex amplitudes
 _BLOCK_VALUES = 2 * MAX_STACK_AMPLITUDES
@@ -78,14 +81,6 @@ class EstimationOutcome:
     domain: tuple[float, float]
     bijective: bool
     residual: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta_star": self.theta_star,
-            "domain": list(self.domain),
-            "bijective": self.bijective,
-            "residual": self.residual,
-        }
 
 
 @dataclass(frozen=True)
@@ -187,11 +182,12 @@ def infer_response(
 
     ``degree`` defaults to the encoding term count, which always suffices;
     a smaller degree raises ValueError, because its nodes would alias the
-    response onto a lower-degree curve.  ``shots=None`` means exact
-    expectations (no sampling).  All nodes go through one simulator call,
-    which prepares the probe once.  Each node draws from its own RNG seeded
-    by (seed, node index), so a node's samples do not depend on the other
-    nodes.
+    response onto a lower-degree curve, and so does one above MAX_DEGREE
+    (2048), whose node set would take too much memory.  ``shots=None``
+    means exact expectations (no sampling).  All nodes go through one
+    simulator call, which prepares the probe once.  Each node draws from
+    its own RNG seeded by (seed, node index), so a node's samples do not
+    depend on the other nodes.
     """
     d = setup.encoding_degree if degree is None else int(degree)
     if d < setup.encoding_degree:
@@ -199,14 +195,14 @@ def infer_response(
             f"degree {d} is below the encoding degree {setup.encoding_degree}; "
             "its nodes would alias the response"
         )
+    if d > MAX_DEGREE:
+        raise ValueError(f"degree {d} exceeds the largest supported degree {MAX_DEGREE}")
     nodes = equidistant_nodes(d)
     if shots is None:
         values = exact_response(setup, nodes.angles)
         samples = SampleVector(nodes, values, np.zeros(len(nodes)))
         epsilon = 0.0
     else:
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
         seeds = [[int(seed), k] for k in range(len(nodes))]
         estimates = sample_response(setup, nodes.angles, shots, seed=seeds)
         samples = SampleVector(
@@ -219,9 +215,9 @@ def infer_response(
     return InferenceResult(poly, samples, shots, epsilon, sup_norm_bound(epsilon, d))
 
 
-def response_polynomial(setup: SensingSetup, degree: int | None = None) -> TrigPoly:
+def response_polynomial(setup: SensingSetup) -> TrigPoly:
     """The exact response polynomial, from exact expectations at the nodes."""
-    return infer_response(setup, degree=degree, shots=None).poly
+    return infer_response(setup).poly
 
 
 def _blocks(count: int, per_item: int) -> list[slice]:
@@ -243,14 +239,14 @@ def _grids(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
     return grid
 
 
-def _golden_sections(fn, a: np.ndarray, b: np.ndarray, width: float = 1e-10) -> np.ndarray:
+def _golden_sections(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Golden-section minima of ``fn`` on the brackets [a_k, b_k], all in
     lockstep: each round updates every live bracket exactly as a scalar
     golden-section loop would and evaluates ``fn(points, live)`` once for
     the indices ``live`` of the fields still shrinking.  A bracket stops
-    once it is no wider than ``width`` or than two ulps of its larger end.
-    The second rule can act first only where two ulps exceed ``width``
-    (|theta| >= 2**18); from 2**19 on, where one ulp exceeds ``width``, a
+    once it is no wider than ``_BRACKET_WIDTH`` or than two ulps of its
+    larger end.  The second rule can act first only where two ulps exceed
+    1e-10 (|theta| >= 2**18); from 2**19 on, where one ulp exceeds it, a
     scalar loop could cycle forever on a bracket one ulp wide."""
     a, b = a.copy(), b.copy()
     c = b - _GOLDEN * (b - a)
@@ -260,7 +256,7 @@ def _golden_sections(fn, a: np.ndarray, b: np.ndarray, width: float = 1e-10) -> 
     while True:
         span = b[live] - a[live]
         ends = np.maximum(np.abs(a[live]), np.abs(b[live]))
-        live = live[(span > width) & (span > 2.0 * np.spacing(ends))]
+        live = live[(span > _BRACKET_WIDTH) & (span > 2.0 * np.spacing(ends))]
         if not live.size:
             return 0.5 * (a + b)
         a0, b0, c0, d0, fc0, fd0 = (x[live] for x in (a, b, c, d, fc, fd))
@@ -349,9 +345,7 @@ def estimate_parameter(
     return outcomes[0] if scalar else outcomes
 
 
-def sensitivity(
-    source, theta: float, response_poly: TrigPoly | None = None
-) -> SensitivityPoint:
+def sensitivity(source, theta: float) -> SensitivityPoint:
     """Error-propagation sensitivity (delta theta)^2 = (delta R)^2 / |dR|^2.
 
     Pass a SensingSetup for the exact variant (variance from the simulator
@@ -374,8 +368,7 @@ def sensitivity(
         variance = max(0.0, 1.0 - value * value)
     else:
         variance = response_variance(source, theta)
-    poly = response_poly if response_poly is not None else response_polynomial(source)
-    slope = poly.derivative().evaluate(theta)
+    slope = response_polynomial(source).derivative().evaluate(theta)
     divergent = abs(slope) < SLOPE_FLOOR
     delta_sq = math.inf if divergent else variance / slope**2
     return SensitivityPoint(float(theta), float(variance), float(slope), delta_sq, divergent)

@@ -56,7 +56,6 @@ SETUP_KINDS = ("ghz", "squeezing", "random")
 
 class ShotEstimate(NamedTuple):
     mean: float
-    shots: int
     standard_error: float
 
 
@@ -359,7 +358,7 @@ def sample_response(
         mean = float(counts @ eigs()) / shots
         second = float(counts @ (eigs() ** 2)) / shots
         variance = max(second - mean**2, 0.0)
-        return ShotEstimate(mean, shots, math.sqrt(variance / shots))
+        return ShotEstimate(mean, math.sqrt(variance / shots))
 
     estimates = _read_states(setup, thetas, draw, rotation)
     return estimates[0] if scalar else estimates

@@ -27,6 +27,7 @@ from .sim.channels import Channel, GateOp
 from .trig import TrigPoly
 
 PARAMS_PER_BLOCK = 6
+MAX_RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -160,19 +161,13 @@ class TrainingTrace:
         }
 
 
-def _window_grid(n: int, points: int = 201) -> np.ndarray:
-    w = math.pi / n
-    return np.linspace(-w, w, points + 2)[1:-1]
-
-
 def train_measurement(
     measurement: TrainableMeasurement | None = None,
     epochs: int = 500,
     seed: int = 0,
-    max_restarts: int = 3,
 ) -> TrainingTrace:
     """Minimize the window MSE over the circuit parameters with a
-    Nelder-Mead simplex, restarting (up to ``max_restarts`` times) around
+    Nelder-Mead simplex, restarting (up to ``MAX_RESTARTS`` times) around
     the incumbent with a fresh simplex whenever the search stalls before
     the epoch budget is spent.
     """
@@ -226,11 +221,12 @@ def train_measurement(
         if result.fun < best_val:
             best_val = float(result.fun)
             best_x = np.array(result.x)
-        if iterations >= epochs or restarts >= max_restarts:
+        if iterations >= epochs or restarts >= MAX_RESTARTS:
             break
         restarts += 1
 
-    grid = _window_grid(measurement.n)
+    w = math.pi / measurement.n
+    grid = np.linspace(-w, w, 203)[1:-1]  # 201 interior points of the window
     pre_poly = response_polynomial(measurement.setup(x0))
     post_poly = response_polynomial(measurement.setup(best_x))
     pre_sq, pre_div = sensitivity_curve(pre_poly, grid)

@@ -76,6 +76,15 @@ def test_infer_aliasing_degree_is_exit_2_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_infer_degree_above_limit_is_exit_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "inf"
+    assert main(["infer", "--setup", "ghz", "--n", "3", "--degree", "100000",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "degree 100000" in err and "2048" in err
+    assert not out.exists()
+
+
 def test_infer_unknown_flag_is_exit_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["infer", "--setup", "ghz", "--n", "2", "--out", str(tmp_path), "--bogus"])

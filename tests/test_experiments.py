@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def test_resolve_shots_policies():
 
 def test_config_validation_and_round_trip(tmp_path):
     config = ExperimentConfig(kind="ghz", n_values=(2, 3), shots="polylog", repeats=2)
-    back = ExperimentConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
+    back = ExperimentConfig.from_json_dict(json.loads(json.dumps(asdict(config))))
     assert back == config
     with pytest.raises(ValueError):
         ExperimentConfig(kind="bogus", n_values=(2,))
@@ -82,6 +83,48 @@ def test_config_rejects_unknown_keys_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     del doc["repeates"]
     assert ExperimentConfig.from_json_dict(doc).repeats == 1
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n_values": [2.7]}, "n_values entry"),
+    ({"n_values": [True]}, "n_values entry"),
+    ({"n_values": 2}, "n_values"),
+    ({"n_values": [2], "repeats": 1.5}, "repeats"),
+    ({"n_values": [2], "test_points": "10"}, "test_points"),
+    ({"n_values": [2], "prediction_fields": 2.0}, "prediction_fields"),
+    ({"n_values": [2], "layers": False}, "layers"),
+    ({"n_values": [2], "base_seed": 0.5}, "base_seed"),
+    ({"n_values": [2], "base_seed": -1}, "base_seed"),
+    ({"n_values": [2], "exact_curves": "false"}, "exact_curves"),
+    ({"n_values": [2], "exact_curves": 0}, "exact_curves"),
+])
+def test_config_field_types_checked_before_any_output(tmp_path, capsys, fields, message):
+    doc = {"study": "prediction", "kind": "ghz", "out_dir": str(tmp_path / "out"), **fields}
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_json_dict(doc)
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert main(["study", "--config", str(tmp_path / "config.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, n, message", [
+    ("squeezing", 1, "n >= 2"), ("ghz", 0, "n >= 1"), ("random", 1, "n >= 2"),
+    ("bogus", 2, "kind"),
+])
+def test_setup_rules_checked_before_any_output(tmp_path, capsys, kind, n, message):
+    doc = {"study": "inference", "kind": kind, "n_values": [3, n],
+           "out_dir": str(tmp_path / "out")}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert main(["study", "--config", str(tmp_path / "config.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_normalizes_integer_fields():
+    config = ExperimentConfig(kind="ghz", n_values=[np.int64(2)], repeats=np.int64(2))
+    assert config.n_values == (2,) and type(config.n_values[0]) is int
+    assert type(config.repeats) is int
 
 
 def test_inference_study_exact_is_machine_precise(tmp_path):

@@ -231,10 +231,21 @@ def test_sensitivity_inferred_equals_exact_at_zero_eps():
     setup = build_ghz_setup(3)
     poly = response_polynomial(setup)
     for theta in np.linspace(0.05, math.pi / 3 - 0.05, 9):
-        a = sensitivity(setup, theta, response_poly=poly)
+        a = sensitivity(setup, theta)
         b = sensitivity(poly, theta)
         if not (a.divergent or b.divergent):
             assert abs(a.delta_theta_sq - b.delta_theta_sq) < 1e-8
+
+
+def test_exact_sensitivity_of_non_pauli_readout_uses_simulated_variance():
+    setup = build_setup("random", 3, 0.0, 2, 5)  # readout: the mean of X on each qubit
+    assert not setup.observable.is_single_pauli
+    slope = response_polynomial(setup).derivative()
+    for theta in (0.3, 1.1):
+        point = sensitivity(setup, theta)
+        assert point.variance == response_variance(setup, theta)
+        assert point.slope == slope.evaluate(theta)
+        assert point.delta_theta_sq == point.variance / point.slope**2
 
 
 def test_variance_numerator_cross_check():

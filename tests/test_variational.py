@@ -6,6 +6,7 @@ import pytest
 from qsense.inference import response_polynomial
 from qsense.trig import TrigPoly
 from qsense.variational import (
+    MAX_RESTARTS,
     TrainableMeasurement,
     mse_loss,
     train_measurement,
@@ -90,3 +91,14 @@ def test_training_validation_and_trace_fields():
     assert doc["initial_loss"] == trace.initial_loss
     assert len(doc["losses"]) == len(trace.losses)
     assert len(trace.thetas) == len(trace.pre_delta_sq) == len(trace.post_delta_sq)
+
+
+def test_training_restarts_stop_at_the_cap():
+    # seed 1 stalls before 400 epochs, so the restart branch runs; with 1500
+    # epochs the fourth stall (epoch 1364) ends the run at MAX_RESTARTS
+    trace = train_measurement(TrainableMeasurement.convolutional(2), epochs=1500, seed=1)
+    assert trace.restarts_used == MAX_RESTARTS == 3
+    assert trace.epochs_used < 1500
+    losses = np.array(trace.losses)
+    assert np.all(np.diff(losses) <= 0.0)
+    assert losses[0] == trace.initial_loss and losses[-1] == trace.final_loss

@@ -7,11 +7,13 @@ from ``<tree>/src``): ``infer`` exact and sampled on the ghz, random and
 squeezing setups with and without noise (among them GHZ n = 12 exact and
 at 1000 shots, whose 25 nodes run in 7 stacks of encoded states,
 squeezing n = 8 exact, whose 57 nodes run in one, squeezing n = 10 exact,
-whose 91 nodes are the largest node set, and GHZ n = 1 at 200 shots, a
-degree-1 curve and its error bound), seven ``study`` configs
+whose 91 nodes are the largest node set, GHZ n = 1 at 200 shots, a
+degree-1 curve and its error bound, and GHZ n = 3 at ``--degree 7``, an
+oversampled node set), eight ``study`` configs
 (among them a sampled-curve prediction study at n = 6, 12 with 100
 fields, whose estimates run in several blocks and whose cosine-fit grid
-screen spans two), ``estimate --out`` on one sampled and three exact
+screen spans two, and a prediction study of three repeats, whose trial
+seeds and rows differ per repeat), ``estimate --out`` on one sampled and three exact
 ``infer`` outputs (measured 0.3; 1.0, a flat extremum; 1.5, out of
 range),
 ``sensitivity`` in setup mode (among them squeezing n = 4 at 1000 shots,
@@ -62,6 +64,8 @@ STUDIES = [
                         prediction_fields=10)),
     ("prediction", dict(kind="ghz", n_values=[6, 12], shots="1000", exact_curves=False,
                         prediction_fields=100)),
+    ("prediction", dict(kind="ghz", n_values=[3, 5], shots="500", repeats=3,
+                        prediction_fields=8)),
     ("sensitivity", dict(kind="ghz", n_values=[3, 5], shots="1000", repeats=2)),
 ]
 
@@ -77,6 +81,8 @@ def commands(work: Path) -> list[list[str]]:
     for setup, n, noise, shots in INFER:
         cmds.append(["infer", "--setup", setup, "--n", str(n), "--noise", str(noise),
                      "--shots", shots, "--seed", "7", "--out", f"infer_{setup}_{n}_{noise}_{shots}"])
+    cmds.append(["infer", "--setup", "ghz", "--n", "3", "--degree", "7", "--shots", "500",
+                 "--seed", "7", "--out", "infer_ghz_3_degree_7"])
     for k, (study, fields) in enumerate(STUDIES):
         config = f"in/study_{k}.json"
         (work / config).write_text(json.dumps(
