@@ -2,12 +2,18 @@
 prediction against the cosine-fit baseline, and sensitivity reconstruction.
 
 ``run_study`` runs every study through one loop over system sizes.  At
-each n the study fans its independent repeats out over the worker pool and
-merges the results in a fixed order; the loop persists three artifacts
-under the output directory: ``config.json`` (the config echo),
-``summary.json`` (one record per system size) and per-trial / per-curve
-CSV files.  Everything except the recorded runtimes is bit-reproducible
-from (config, base_seed).
+each n the study simulates the 2D+1 nodes once for all its repeats
+(``infer_responses``): with sampled shots, each node's measurement-basis
+probabilities give the exact response polynomial and every repeat's
+draws, bit for bit those of a standalone ``infer_response`` with the
+repeat's trial seed.  A sampled inference study takes its truth at the
+test angles from that exact polynomial; an exact-shot one simulates every
+test angle, because there the study is the check of the theorem.  The
+per-repeat scoring fans out over the worker pool and merges in a fixed
+order.  The loop persists three artifacts under the output directory:
+``config.json`` (the config echo), ``summary.json`` (one record per
+system size) and per-trial / per-curve CSV files.  Everything except the
+recorded runtimes is bit-reproducible from (config, base_seed).
 """
 
 from __future__ import annotations
@@ -26,15 +32,14 @@ from .inference import (
     SensitivityErrorReport,
     cosine_fit,
     estimate_parameter,
-    infer_response,
+    infer_responses,
     polylog_shot_schedule,
-    response_polynomial,
     sensitivity_error_check,
     shot_budget,
     sup_norm_bound,
 )
 from .sim import SETUP_KINDS, SensingSetup, build_setup, exact_response, sample_response
-from .trig import TrigPoly, write_curve_csv
+from .trig import TrigPoly, write_curve_csv, write_rows
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,9 @@ class ExperimentConfig:
     ``shots`` is the policy string ``exact | <int> | paper | polylog |
     budget:<delta>,<alpha>``.  ``exact_curves`` makes the prediction study
     build its response curves from exact expectations while still sampling
-    the measured test responses with the shots policy.
+    the measured test responses with the shots policy.  ``setups`` (not a
+    field) holds the study setup of each n, built while the config is
+    checked.
     """
 
     kind: str
@@ -73,6 +80,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
         if not isinstance(self.exact_curves, bool):
             raise ValueError(f"exact_curves must be true or false, got {self.exact_curves!r}")
+        SensingSetup.check_noise(self.noise)
         cap = 8 if self.noise > 0 else 12
         if max(values) > cap:
             path = "noisy (density-matrix)" if self.noise > 0 else "statevector"
@@ -80,8 +88,13 @@ class ExperimentConfig:
                 f"n={max(values)} exceeds the desk-scale {path} study cap of {cap}"
             )
         object.__setattr__(self, "n_values", values)
-        for n in values:  # fail before any file is written
-            build_setup(self.kind, n, self.noise, self.layers, 0)
+        # built here so that a config fails before any file is written;
+        # not a field, so it is neither compared nor echoed
+        object.__setattr__(self, "setups", tuple(
+            build_setup(self.kind, n, self.noise, self.layers, _ansatz_seed(self.base_seed, n))
+            for n in values
+        ))
+        for n in values:
             resolve_shots(self.shots, n)
 
     @classmethod
@@ -134,8 +147,16 @@ def resolve_shots(policy: str, n: int) -> int | None:
     return shots
 
 
-def _trial_seed(base: int, n: int, repeat: int) -> int:
-    return int(np.random.default_rng([base, n, repeat, 0]).integers(2**31))
+def _ansatz_seed(base: int, n: int) -> int:
+    return int(np.random.default_rng([base, n, 424242]).integers(2**63))
+
+
+def _trial_seeds(config: ExperimentConfig, n: int) -> list[int]:
+    """The ``infer_response`` seed of each repeat at system size n."""
+    return [
+        int(np.random.default_rng([config.base_seed, n, repeat, 0]).integers(2**31))
+        for repeat in range(config.repeats)
+    ]
 
 
 def dump_json(path: Path, doc) -> None:
@@ -144,11 +165,7 @@ def dump_json(path: Path, doc) -> None:
 
 def _write_trials_csv(path: Path, rows: list[dict]) -> None:
     """One line per row under a header of the first row's keys."""
-    lines = [",".join(rows[0])] + [
-        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row.values())
-        for row in rows
-    ]
-    path.write_text("\n".join(lines) + "\n")
+    write_rows(path, list(rows[0]), [row.values() for row in rows], line_end="\n")
 
 
 _PLOT_GRID = np.linspace(0.0, 2.0 * math.pi, 1001)
@@ -173,27 +190,26 @@ def write_sensitivity_csv(path: Path, report: SensitivityErrorReport) -> None:
 
 def _inference_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_n: int | None):
     """Infer the response for each repeat, score |R - R~| on random test
-    angles against the simulator and bound it by ``sup_norm_bound``."""
-    exact_poly = response_polynomial(setup)
+    angles and bound it by ``sup_norm_bound``.  With exact expectations
+    the study checks the theorem, so its truth is simulated at every test
+    angle; with sampled shots the truth is the exact polynomial, from the
+    node simulation that also gives every repeat's draws."""
+    exact_poly, results = infer_responses(setup, shots_n, _trial_seeds(config, n))
     grid = np.random.default_rng([config.base_seed, n, 101]).uniform(
         0.0, 2.0 * math.pi, config.test_points
     )
-    truth = exact_response(setup, grid)
+    truth = exact_response(setup, grid) if shots_n is None else exact_poly.evaluate(grid)
 
     def trial(repeat: int):
-        res = infer_response(
-            setup, shots=shots_n, seed=_trial_seed(config.base_seed, n, repeat)
-        )
+        res = results[repeat]
         err = np.abs(res.poly.evaluate(grid) - truth)
         node_truth = exact_poly.evaluate(res.samples.nodes.angles)
         eps_true = float(np.abs(res.samples.values - node_truth).max())
-        row = dict(n=n, repeat=repeat, median_error=float(np.median(err)),
-                   max_error=float(err.max()), epsilon=eps_true,
-                   bound_value=sup_norm_bound(eps_true, res.poly.degree))
-        return row, res.poly
+        return dict(n=n, repeat=repeat, median_error=float(np.median(err)),
+                    max_error=float(err.max()), epsilon=eps_true,
+                    bound_value=sup_norm_bound(eps_true, res.poly.degree))
 
-    trials = parallel_map(trial, range(config.repeats))
-    rows = [row for row, _ in trials]
+    rows = parallel_map(trial, range(config.repeats))
     fields = dict(
         median_error=float(np.median([r["median_error"] for r in rows])),
         max_error=float(max(r["max_error"] for r in rows)),
@@ -202,43 +218,46 @@ def _inference_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_n
         # where both the errors and the bound sit at machine scale
         all_trials_within_bound=all(r["max_error"] <= r["bound_value"] + 1e-8 for r in rows),
     )
-    return rows, fields, trials[0][1]
+    return rows, fields, results[0].poly
 
 
 def _prediction_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_n: int | None):
     """Estimate random fields from measured responses via the inferred
     polynomial and via the cosine-fit baseline, over windows theta' +/-
-    pi/(10 n); the window width is also the worst possible error."""
+    pi/(10 n); the window width is also the worst possible error.  The
+    curves of all repeats come from one node simulation and the measured
+    responses of all repeats' fields from one simulator call."""
     window = math.pi / (10.0 * n)
+    repeats, count = config.repeats, config.prediction_fields
+    curve_shots = None if config.exact_curves else shots_n
+    _, results = infer_responses(setup, curve_shots, _trial_seeds(config, n))
+    thetas = np.concatenate([
+        np.random.default_rng([config.base_seed, n, repeat, 55]).uniform(0.0, 2.0 * math.pi, count)
+        for repeat in range(repeats)
+    ])
+    if shots_n is None:
+        values = exact_response(setup, thetas)
+    else:
+        field_seeds = [
+            [config.base_seed, n, repeat, 1000 + field]
+            for repeat in range(repeats) for field in range(count)
+        ]
+        values = [e.mean for e in sample_response(setup, thetas, shots_n, seed=field_seeds)]
+    thetas, values = np.reshape(thetas, (repeats, count)), np.reshape(values, (repeats, count))
 
     def trial(repeat: int):
-        curve_shots = None if config.exact_curves else shots_n
-        res = infer_response(
-            setup, shots=curve_shots, seed=_trial_seed(config.base_seed, n, repeat)
-        )
+        res = results[repeat]
         fit = cosine_fit(res.samples)
-        rng = np.random.default_rng([config.base_seed, n, repeat, 55])
-        thetas = rng.uniform(0.0, 2.0 * math.pi, config.prediction_fields)
-        if shots_n is None:
-            values = exact_response(setup, thetas)
-        else:
-            seeds = [
-                [config.base_seed, n, repeat, 1000 + field]
-                for field in range(config.prediction_fields)
-            ]
-            values = [e.mean for e in sample_response(setup, thetas, shots_n, seed=seeds)]
-        domain = (thetas - window, thetas + window)
-        est_inf = estimate_parameter(res.poly, values, domain)
-        est_fit = estimate_parameter(fit, values, domain)
-        rows = [
+        domain = (thetas[repeat] - window, thetas[repeat] + window)
+        est_inf = estimate_parameter(res.poly, values[repeat], domain)
+        est_fit = estimate_parameter(fit, values[repeat], domain)
+        return [
             dict(n=n, repeat=repeat, theta_true=theta_true,
                  theta_inferred=by_poly.theta_star, theta_fit=by_fit.theta_star)
-            for theta_true, by_poly, by_fit in zip(thetas.tolist(), est_inf, est_fit)
+            for theta_true, by_poly, by_fit in zip(thetas[repeat].tolist(), est_inf, est_fit)
         ]
-        return rows, res.poly
 
-    trials = parallel_map(trial, range(config.repeats))
-    rows = [row for repeat_rows, _ in trials for row in repeat_rows]
+    rows = [row for repeat_rows in parallel_map(trial, range(repeats)) for row in repeat_rows]
     err_inf = [abs(r["theta_inferred"] - r["theta_true"]) for r in rows]
     err_fit = [abs(r["theta_fit"] - r["theta_true"]) for r in rows]
     fields = dict(
@@ -248,24 +267,20 @@ def _prediction_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_
         upper_quartile_prediction_error_baseline=float(np.quantile(err_fit, 0.75)),
         worst_case_prediction_error=window,
     )
-    return rows, fields, trials[0][1]
+    return rows, fields, results[0].poly
 
 
 def _sensitivity_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_n: int | None):
     """Reconstruct sensitivity curves from inferred responses and score the
-    exact-vs-inferred error against the slope-normalized bound."""
-
-    def trial(repeat: int):
-        rep = sensitivity_error_check(
-            setup, shots=shots_n, seed=_trial_seed(config.base_seed, n, repeat)
-        )
-        row = dict(n=n, repeat=repeat, median_relative_error=rep.median_relative_error,
-                   max_relative_error=rep.max_relative_error, epsilon=rep.epsilon,
-                   bound_value=rep.bound_value, holds=int(rep.holds))
-        return row, rep
-
-    trials = parallel_map(trial, range(config.repeats))
-    rows = [row for row, _ in trials]
+    exact-vs-inferred error against the slope-normalized bound; the exact
+    and all repeats' curves come from one node simulation."""
+    reports = sensitivity_error_check(setup, shots=shots_n, seed=_trial_seeds(config, n))
+    rows = [
+        dict(n=n, repeat=repeat, median_relative_error=rep.median_relative_error,
+             max_relative_error=rep.max_relative_error, epsilon=rep.epsilon,
+             bound_value=rep.bound_value, holds=int(rep.holds))
+        for repeat, rep in enumerate(reports)
+    ]
     fields = dict(
         median_relative_sensitivity_error=float(
             np.median([r["median_relative_error"] for r in rows])
@@ -273,7 +288,7 @@ def _sensitivity_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots
         max_relative_sensitivity_error=float(max(r["max_relative_error"] for r in rows)),
         bound_holds_all_trials=all(r["holds"] for r in rows),
     )
-    return rows, fields, trials[0][1]
+    return rows, fields, reports[0]
 
 
 # name -> (allowed kinds, per-n function, trials CSV, curve CSV, curve
@@ -311,10 +326,8 @@ def run_study(name: str, config: ExperimentConfig) -> list[dict]:
     dump_json(out / "config.json", asdict(config))
     records = []
     rows: list[dict] = []
-    for n in config.n_values:
+    for n, setup in zip(config.n_values, config.setups):
         start = time.perf_counter()
-        ansatz_seed = int(np.random.default_rng([config.base_seed, n, 424242]).integers(2**63))
-        setup = build_setup(config.kind, n, config.noise, config.layers, ansatz_seed)
         n_rows, fields, curve = per_n(config, setup, n, resolve_shots(config.shots, n))
         rows += n_rows
         write_curve(out / curve_csv.format(kind=config.kind, n=n), curve)

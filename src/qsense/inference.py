@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .sim.setups import (
     SensingSetup,
     exact_response,
     response_variance,
-    sample_response,
+    sample_rows,
 )
 from .trig import SampleVector, TrigPoly, coeffs_closed_form, equidistant_nodes
 
@@ -172,22 +173,22 @@ def sup_norm_bound(epsilon: float, degree: int) -> float:
     return 5.0 * epsilon * math.log(max(degree, 2))
 
 
-def infer_response(
-    setup: SensingSetup,
-    degree: int | None = None,
-    shots: int | None = None,
-    seed: int = 0,
-) -> InferenceResult:
-    """Measure the response at equidistant nodes and interpolate.
+def infer_responses(
+    setup: SensingSetup, shots: int | None, seeds: Sequence[int], degree: int | None = None
+) -> tuple[TrigPoly, list[InferenceResult]]:
+    """The exact response polynomial and one inferred response per seed in
+    ``seeds``, all from one simulation of the nodes.
 
     ``degree`` defaults to the encoding term count, which always suffices;
     a smaller degree raises ValueError, because its nodes would alias the
     response onto a lower-degree curve, and so does one above MAX_DEGREE
     (2048), whose node set would take too much memory.  ``shots=None``
-    means exact expectations (no sampling).  All nodes go through one
-    simulator call, which prepares the probe once.  Each node draws from
-    its own RNG seeded by (seed, node index), so a node's samples do not
-    depend on the other nodes.
+    means exact expectations (no sampling): every result is then the exact
+    polynomial's.  With shots, each node's measurement-basis probabilities
+    are read once: they give the exact polynomial and every seed's draws.
+    Seed s draws node k from its own RNG seeded by (s, k), so a node's
+    samples do not depend on the other nodes or seeds, and each result
+    equals ``infer_response(setup, degree, shots, s)``.
     """
     d = setup.encoding_degree if degree is None else int(degree)
     if d < setup.encoding_degree:
@@ -198,21 +199,38 @@ def infer_response(
     if d > MAX_DEGREE:
         raise ValueError(f"degree {d} exceeds the largest supported degree {MAX_DEGREE}")
     nodes = equidistant_nodes(d)
+    zeros = np.zeros(len(nodes))
     if shots is None:
-        values = exact_response(setup, nodes.angles)
-        samples = SampleVector(nodes, values, np.zeros(len(nodes)))
-        epsilon = 0.0
-    else:
-        seeds = [[int(seed), k] for k in range(len(nodes))]
-        estimates = sample_response(setup, nodes.angles, shots, seed=seeds)
+        samples = SampleVector(nodes, exact_response(setup, nodes.angles), zeros)
+        exact = InferenceResult(coeffs_closed_form(samples), samples, None, 0.0, 0.0)
+        return exact.poly, [exact] * len(seeds)
+    rows = [[[int(seed), k] for k in range(len(nodes))] for seed in seeds]
+    means, estimates = sample_rows(setup, nodes.angles, shots, rows)
+    results = []
+    for row in estimates:
         samples = SampleVector(
             nodes,
-            np.array([e.mean for e in estimates]),
-            np.array([e.standard_error for e in estimates]),
+            np.array([e.mean for e in row]),
+            np.array([e.standard_error for e in row]),
         )
         epsilon = 3.0 * float(samples.standard_errors.max())
-    poly = coeffs_closed_form(samples)
-    return InferenceResult(poly, samples, shots, epsilon, sup_norm_bound(epsilon, d))
+        results.append(InferenceResult(
+            coeffs_closed_form(samples), samples, shots, epsilon, sup_norm_bound(epsilon, d)
+        ))
+    return coeffs_closed_form(SampleVector(nodes, means, zeros)), results
+
+
+def infer_response(
+    setup: SensingSetup,
+    degree: int | None = None,
+    shots: int | None = None,
+    seed: int = 0,
+) -> InferenceResult:
+    """Measure the response at equidistant nodes and interpolate: the
+    one-seed case of ``infer_responses``.  All nodes go through one
+    simulator call, which prepares the probe once.
+    """
+    return infer_responses(setup, shots, [seed], degree)[1][0]
 
 
 def response_polynomial(setup: SensingSetup) -> TrigPoly:
@@ -407,9 +425,9 @@ def sensitivity_error_check(
     setup: SensingSetup,
     theta_range: tuple[float, float] | None = None,
     shots: int | None = None,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
     points: int = 200,
-) -> SensitivityErrorReport:
+) -> SensitivityErrorReport | list[SensitivityErrorReport]:
     """Compare exact and inferred sensitivities over a divergence-free range
     and check |dt_exact - dt_inferred| <= sup_norm_bound(eps, D) / min-slope
     for the inferred curve's degree D.
@@ -420,6 +438,10 @@ def sensitivity_error_check(
     the exact-expectation case (eps = 0) passes up to round-off.  The grid
     uses an even number of interval midpoints, which keeps points of exactly
     vanishing slope (the centre of a symmetric range) off the grid.
+
+    ``seed`` is an int, giving one report, or a sequence of seeds, giving
+    one report per seed; the exact and all inferred curves come from one
+    simulation of the nodes (``infer_responses``).
     """
     if not setup.observable.is_single_pauli:
         raise ValueError("sensitivity error check needs a Pauli-valued readout")
@@ -429,42 +451,44 @@ def sensitivity_error_check(
         except KeyError:
             raise ValueError("provide theta_range for custom setups") from None
     lo, hi = theta_range
-    exact_poly = response_polynomial(setup)
-    result = infer_response(setup, shots=shots, seed=seed)
+    scalar = np.ndim(seed) == 0
+    exact_poly, results = infer_responses(setup, shots, [seed] if scalar else seed)
     grid = lo + (np.arange(points) + 0.5) * (hi - lo) / points
     exact_delta, exact_div, _, exact_slopes = _sensitivity_grid(exact_poly, grid, _delta_theta)
-    inf_delta, inf_div, _, _ = _sensitivity_grid(result.poly, grid, _delta_theta)
-    ok = ~(exact_div | inf_div)
-    abs_error = np.full_like(grid, np.nan)
-    abs_error[ok] = np.abs(exact_delta[ok] - inf_delta[ok])
-
-    node_truth = exact_poly.evaluate(result.samples.nodes.angles)
-    epsilon = float(np.abs(node_truth - result.samples.values).max())
     min_slope = float(np.abs(exact_slopes).min())
-    degree = result.poly.degree
-    bound = math.inf if min_slope == 0.0 else sup_norm_bound(epsilon, degree) / min_slope
-    worst = float(np.nanmax(abs_error)) if ok.any() else 0.0
-    holds = worst <= bound + 1e-8
+    reports = []
+    for result in results:
+        inf_delta, inf_div, _, _ = _sensitivity_grid(result.poly, grid, _delta_theta)
+        ok = ~(exact_div | inf_div)
+        abs_error = np.full_like(grid, np.nan)
+        abs_error[ok] = np.abs(exact_delta[ok] - inf_delta[ok])
 
-    values = np.concatenate([exact_delta[ok], inf_delta[ok]]) if ok.any() else np.zeros(1)
-    denom = float(values.max() - values.min())
-    if denom < 1e-15:
-        denom = max(float(np.abs(values).max()), 1e-15)
-    median_rel = float(np.nanmedian(abs_error) / denom) if ok.any() else 0.0
-    max_rel = worst / denom
-    return SensitivityErrorReport(
-        thetas=grid,
-        exact_delta=exact_delta,
-        inferred_delta=inf_delta,
-        abs_error=abs_error,
-        epsilon=epsilon,
-        min_slope=min_slope,
-        bound_value=bound,
-        holds=bool(holds),
-        median_relative_error=median_rel,
-        max_relative_error=max_rel,
-        divergent_points=int((exact_div | inf_div).sum()),
-    )
+        node_truth = exact_poly.evaluate(result.samples.nodes.angles)
+        epsilon = float(np.abs(node_truth - result.samples.values).max())
+        degree = result.poly.degree
+        bound = math.inf if min_slope == 0.0 else sup_norm_bound(epsilon, degree) / min_slope
+        worst = float(np.nanmax(abs_error)) if ok.any() else 0.0
+        holds = worst <= bound + 1e-8
+
+        values = np.concatenate([exact_delta[ok], inf_delta[ok]]) if ok.any() else np.zeros(1)
+        denom = float(values.max() - values.min())
+        if denom < 1e-15:
+            denom = max(float(np.abs(values).max()), 1e-15)
+        median_rel = float(np.nanmedian(abs_error) / denom) if ok.any() else 0.0
+        reports.append(SensitivityErrorReport(
+            thetas=grid,
+            exact_delta=exact_delta,
+            inferred_delta=inf_delta,
+            abs_error=abs_error,
+            epsilon=epsilon,
+            min_slope=min_slope,
+            bound_value=bound,
+            holds=bool(holds),
+            median_relative_error=median_rel,
+            max_relative_error=worst / denom,
+            divergent_points=int((exact_div | inf_div).sum()),
+        ))
+    return reports[0] if scalar else reports
 
 
 def _screened_grid(th, d, betas, gammas) -> np.ndarray:

@@ -18,6 +18,7 @@ from .setups import (
     exact_response,
     response_variance,
     sample_response,
+    sample_rows,
     setup_from_json,
     setup_to_json,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "exact_response",
     "response_variance",
     "sample_response",
+    "sample_rows",
     "setup_from_json",
     "setup_to_json",
 ]

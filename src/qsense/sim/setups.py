@@ -14,8 +14,10 @@ each rotation, gate and depolarizing step runs once per stack.  A stack
 holds at most ``MAX_STACK_AMPLITUDES`` (2**14) amplitudes, so a call's
 angles run in chunks (4 at a time for a 12-qubit statevector, one at a
 time for a density tensor of 7 or more qubits).  The readout stays per
-angle, one ``expectation`` or one multinomial draw per stack entry, and
-every value equals the one a call with that angle alone returns.
+angle, one ``expectation`` or one read of the measurement-basis
+probabilities per stack entry (which then serves any number of seeded
+multinomial draws), and every value equals the one a call with that
+angle alone returns.
 
 The encoding is a product of per-term rotations cos(theta/2) - i
 sin(theta/2) P, which is exact because the terms commute.  Every encoding
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -80,14 +83,22 @@ class SensingSetup:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("setup needs at least one qubit")
-        if not 0.0 <= self.noise <= 1.0:
-            raise ValueError(f"noise probability {self.noise} outside [0, 1]")
+        self.check_noise(self.noise)
         if self.hamiltonian.n_qubits != self.n:
             raise ValueError("encoding qubit count mismatch")
         if self.observable.n_qubits != self.n:
             raise ValueError("observable qubit count mismatch")
         self.preparation.validate(self.n)
         self.premeasurement.validate(self.n)
+
+    @staticmethod
+    def check_noise(noise) -> None:
+        """Reject a depolarizing probability that is a bool, not a real
+        number, NaN or outside [0, 1]."""
+        if isinstance(noise, bool) or not isinstance(noise, numbers.Real):
+            raise ValueError(f"noise must be a real number, got {noise!r}")
+        if not 0.0 <= noise <= 1.0:
+            raise ValueError(f"noise probability {noise} outside [0, 1]")
 
     @property
     def needs_density(self) -> bool:
@@ -305,6 +316,59 @@ def _measurement_rotation(letters: str) -> Channel:
     return Channel(tuple(ops))
 
 
+def sample_rows(
+    setup: SensingSetup, theta, shots: int, seeds
+) -> tuple[np.ndarray, list[list[ShotEstimate]]]:
+    """Exact means and finite-shot estimates of the response at the 1-D
+    array of angles ``theta``, all from one simulation.
+
+    Each angle's state is rotated into the joint eigenbasis of the
+    observable's terms (which must commute qubit-wise) and its
+    computational-basis probabilities are read once.  They give the
+    angle's exact mean, the probabilities times the observable's
+    eigenvalues, and one estimate per row of ``seeds``: a row holds one seed
+    per angle, and row r's estimate at angle k is the empirical mean of
+    ``shots`` outcomes drawn from ``default_rng(seeds[r][k])`` together with
+    its standard error.  Returns the array of exact means and, per row, the
+    list of its ShotEstimates.  The preparation runs once per call and the
+    encoding, pre-measurement and basis rotation once per stack of angles.
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    thetas = _angles(theta)
+    for row in seeds:
+        if not hasattr(row, "__len__") or len(row) != len(thetas):
+            raise ValueError(
+                f"an array of {len(thetas)} theta values needs a sequence of "
+                f"{len(thetas)} seeds, one per angle, got {row!r}"
+            )
+    rotation = _measurement_rotation(setup.observable.measurement_letters())
+    # computed on the first read, once _prepare has checked the qubit cap
+    eigs = functools.cache(setup.observable.measurement_diagonal)
+    n = setup.n
+    angle = iter(range(len(thetas)))
+    estimates: list[list[ShotEstimate]] = [[] for _ in seeds]
+
+    def read(tensor: np.ndarray, density: bool) -> float:
+        if density:  # the diagonal as a view, without copying all 4**n entries
+            probs = np.einsum(tensor, list(range(n)) * 2, list(range(n))).real.reshape(-1)
+        else:
+            probs = np.abs(tensor.reshape(-1)) ** 2
+        probs = np.clip(probs, 0.0, None)
+        probs /= probs.sum()
+        k = next(angle)
+        for row, out in zip(seeds, estimates):
+            counts = np.random.default_rng(row[k]).multinomial(shots, probs)
+            mean = float(counts @ eigs()) / shots
+            second = float(counts @ (eigs() ** 2)) / shots
+            variance = max(second - mean**2, 0.0)
+            out.append(ShotEstimate(mean, math.sqrt(variance / shots)))
+        return float(probs @ eigs())
+
+    means = np.array(_read_states(setup, thetas, read, rotation))
+    return means, estimates
+
+
 def sample_response(
     setup: SensingSetup,
     theta,
@@ -313,54 +377,20 @@ def sample_response(
 ) -> ShotEstimate | list[ShotEstimate]:
     """Finite-shot estimate of the response.
 
-    Rotates into the joint eigenbasis of the observable's terms (which must
-    commute qubit-wise), samples ``shots`` computational-basis outcomes from
-    the exact distribution and returns the empirical mean of the observable
-    eigenvalue together with its standard error.  The estimate is unbiased:
-    its expectation over the RNG equals ``exact_response``.
+    Samples ``shots`` outcomes of the observable from the exact
+    distribution and returns their empirical mean together with its
+    standard error: the one-row case of ``sample_rows``.  The estimate is
+    unbiased: its expectation over the RNG equals ``exact_response``.
 
     ``theta`` is a float, giving one ShotEstimate drawn from
     ``default_rng(seed)``, or a 1-D array of angles, giving a list of
     ShotEstimates; ``seed`` is then a sequence of one seed per angle and
     angle k draws from ``default_rng(seed[k])``, so each estimate equals the
-    scalar call at that angle and seed.  As in ``exact_response`` the
-    preparation runs once per call and the encoding, pre-measurement and
-    basis rotation once per stack of angles.  NaN or infinite angles raise
+    scalar call at that angle and seed.  NaN or infinite angles raise
     ValueError.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    thetas = _angles(theta)
     scalar = np.ndim(theta) == 0
-    if scalar:
-        seeds = [seed]
-    else:
-        seeds = seed if hasattr(seed, "__len__") else None
-        if seeds is None or len(seeds) != len(thetas):
-            raise ValueError(
-                f"an array of {len(thetas)} theta values needs a sequence of "
-                f"{len(thetas)} seeds, one per angle, got {seed!r}"
-            )
-    rotation = _measurement_rotation(setup.observable.measurement_letters())
-    # computed on the first draw, once _prepare has checked the qubit cap
-    eigs = functools.cache(setup.observable.measurement_diagonal)
-    n = setup.n
-    seeds = iter(seeds)
-
-    def draw(tensor: np.ndarray, density: bool) -> ShotEstimate:
-        if density:  # the diagonal as a view, without copying all 4**n entries
-            probs = np.einsum(tensor, list(range(n)) * 2, list(range(n))).real.reshape(-1)
-        else:
-            probs = np.abs(tensor.reshape(-1)) ** 2
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        counts = np.random.default_rng(next(seeds)).multinomial(shots, probs)
-        mean = float(counts @ eigs()) / shots
-        second = float(counts @ (eigs() ** 2)) / shots
-        variance = max(second - mean**2, 0.0)
-        return ShotEstimate(mean, math.sqrt(variance / shots))
-
-    estimates = _read_states(setup, thetas, draw, rotation)
+    _, (estimates,) = sample_rows(setup, theta, shots, [[seed] if scalar else seed])
     return estimates[0] if scalar else estimates
 
 

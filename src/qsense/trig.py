@@ -21,7 +21,6 @@ it minimizes the error amplification of the linear solve.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -391,17 +390,20 @@ def solve_lsp(samples: SampleVector) -> tuple[TrigPoly, ConditionReport]:
     return poly, ConditionReport(det_mag, math.exp(log_sigma))
 
 
+def write_rows(path, header: Sequence[str], rows: Iterable, line_end: str = "\r\n") -> None:
+    """Write ``header`` and ``rows`` as comma-separated lines, each ending
+    in ``line_end``.  Cells are Python ints and floats rendered with repr,
+    so floats round-trip bit-exactly."""
+    fmt = ",".join(["%r"] * len(header))
+    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
+    Path(path).write_text(line_end.join(lines) + line_end, newline="")
+
+
 def write_curve_csv(
     path, thetas: Sequence[float], values: Iterable, header: Sequence[str] = ("theta", "value")
 ) -> None:
-    """Write aligned columns of floats; floats are rendered with repr so the
-    file round-trips bit-exactly."""
-    path = Path(path)
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, th in enumerate(np.asarray(thetas, dtype=float)):
-            writer.writerow([repr(float(th))] + [repr(float(v)) for v in values[i]])
+    """Write aligned columns of floats, one row per angle of ``thetas``
+    and one column per column of ``values``, with csv's CRLF line ends;
+    floats are rendered with repr so the file round-trips bit-exactly."""
+    columns = np.column_stack([np.asarray(thetas, dtype=float), np.asarray(values, dtype=float)])
+    write_rows(path, header, columns.tolist())

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from qsense.cli import main
+from qsense import experiments
 from qsense.experiments import (
     ExperimentConfig,
+    _trial_seeds,
     resolve_shots,
     run_study,
 )
-from qsense.inference import polylog_shot_schedule, shot_budget
+from qsense.inference import infer_response, infer_responses, polylog_shot_schedule, shot_budget
+from qsense.sim import build_setup, exact_response, setups
 
 
 def test_resolve_shots_policies():
@@ -97,6 +100,8 @@ def test_config_rejects_unknown_keys_before_any_output(tmp_path, capsys):
     ({"n_values": [2], "base_seed": -1}, "base_seed"),
     ({"n_values": [2], "exact_curves": "false"}, "exact_curves"),
     ({"n_values": [2], "exact_curves": 0}, "exact_curves"),
+    ({"n_values": [2], "noise": True}, "noise must be a real number"),
+    ({"n_values": [2], "noise": "0.1"}, "noise must be a real number"),
 ])
 def test_config_field_types_checked_before_any_output(tmp_path, capsys, fields, message):
     doc = {"study": "prediction", "kind": "ghz", "out_dir": str(tmp_path / "out"), **fields}
@@ -310,3 +315,81 @@ def test_run_study_dispatch(tmp_path):
     assert records[0]["n"] == 2
     with pytest.raises(ValueError):
         run_study("nope", config)
+
+
+@pytest.mark.parametrize("kind", ["ghz", "squeezing", "random"])
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_shared_node_pass_equals_standalone_inference(kind, noise):
+    n = 4
+    setup = build_setup(kind, n, noise, 2, 11)
+    seeds = _trial_seeds(ExperimentConfig(kind=kind, n_values=[n], repeats=3, base_seed=3), n)
+    exact_poly, results = infer_responses(setup, 400, seeds)
+    for seed, res in zip(seeds, results):
+        alone = infer_response(setup, shots=400, seed=seed)
+        assert res.poly == alone.poly
+        for field in ("values", "standard_errors"):
+            assert np.array_equal(getattr(res.samples, field), getattr(alone.samples, field))
+        assert np.array_equal(res.samples.nodes.angles, alone.samples.nodes.angles)
+        assert (res.epsilon_estimate, res.bound_value) == (alone.epsilon_estimate, alone.bound_value)
+    assert results[0].poly != results[1].poly
+    grid = np.random.default_rng(5).uniform(0.0, 2 * math.pi, 200)
+    np.testing.assert_allclose(exact_poly.evaluate(grid), exact_response(setup, grid),
+                               rtol=0, atol=1e-12)
+
+
+def _count_prepares(monkeypatch) -> list:
+    calls = []
+    prepare = setups._prepare
+
+    def counted(setup, density):
+        calls.append(setup.n)
+        return prepare(setup, density)
+
+    monkeypatch.setattr(setups, "_prepare", counted)
+    return calls
+
+
+@pytest.mark.parametrize("study, kind, passes", [
+    ("inference", "random", 1),
+    ("sensitivity", "squeezing", 1),
+    ("prediction", "ghz", 2),  # the nodes, then every repeat's fields in one call
+])
+def test_sampled_study_simulates_nodes_once_per_n(tmp_path, monkeypatch, study, kind, passes):
+    calls = _count_prepares(monkeypatch)
+    config = ExperimentConfig(
+        kind=kind, n_values=(3, 4), noise=0.01, shots="300", repeats=3,
+        out_dir=str(tmp_path), test_points=500, prediction_fields=4,
+    )
+    run_study(study, config)
+    assert calls == [3] * passes + [4] * passes
+
+
+def test_exact_inference_study_simulates_its_truth_grid(tmp_path, monkeypatch):
+    sizes = []
+
+    def recorded(setup, theta):
+        sizes.append(np.size(theta))
+        return exact_response(setup, theta)
+
+    monkeypatch.setattr(experiments, "exact_response", recorded)
+    config = ExperimentConfig(
+        kind="ghz", n_values=(3,), shots="exact", repeats=2, out_dir=str(tmp_path),
+        test_points=123,
+    )
+    run_study("inference", config)
+    assert sizes == [123]
+
+
+def test_study_builds_each_setup_once_with_its_ansatz_seed(tmp_path, monkeypatch):
+    built = []
+
+    def recorded(kind, n, noise, layers, seed):
+        built.append((n, seed))
+        return build_setup(kind, n, noise, layers, seed)
+
+    monkeypatch.setattr(experiments, "build_setup", recorded)
+    config = ExperimentConfig(kind="random", n_values=(3, 4), layers=2, base_seed=5,
+                              out_dir=str(tmp_path), test_points=20)
+    run_study("inference", config)
+    assert built == [(n, experiments._ansatz_seed(5, n)) for n in (3, 4)]
+    assert config.setups == tuple(build_setup("random", n, 0.0, 2, seed) for n, seed in built)

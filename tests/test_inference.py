@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -278,6 +279,18 @@ def test_sensitivity_error_check_squeezing_range():
     report = sensitivity_error_check(build_squeezing_setup(4), shots=2000, seed=3)
     assert math.isfinite(report.median_relative_error)
     assert report.divergent_points == 0
+
+
+@pytest.mark.parametrize("shots", [None, 400])
+def test_sensitivity_error_check_seed_list_equals_single_seeds(shots):
+    setup = build_squeezing_setup(4, noise=0.01)
+    reports = sensitivity_error_check(setup, shots=shots, seed=[3, 8, 3])
+    for seed, report in zip([3, 8, 3], reports):
+        alone = sensitivity_error_check(setup, shots=shots, seed=seed)
+        for field in dataclasses.fields(report):
+            mine, theirs = getattr(report, field.name), getattr(alone, field.name)
+            assert np.array_equal(mine, theirs, equal_nan=True), field.name
+    assert sensitivity_error_check(setup, shots=shots, seed=[]) == []
 
 
 def test_sensitivity_error_check_custom_setup_needs_range():

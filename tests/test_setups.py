@@ -18,6 +18,7 @@ from qsense.sim import (
     exact_response,
     response_variance,
     sample_response,
+    sample_rows,
     setup_from_json,
     setup_to_json,
 )
@@ -302,6 +303,27 @@ def test_array_sample_response_matches_scalar_calls(setup):
     seeds = [[5, k] for k in range(len(thetas))]
     batched = sample_response(setup, thetas, 300, seed=seeds)
     assert batched == [sample_response(setup, t, 300, seed=s) for t, s in zip(thetas, seeds)]
+
+
+@pytest.mark.parametrize("setup", _property_setups(), ids=lambda s: f"{s.kind}-{s.noise}")
+def test_sample_rows_are_one_pass_of_sample_response(setup):
+    thetas = np.random.default_rng(23).uniform(0.0, 2 * math.pi, 7)
+    rows = [[[seed, k] for k in range(len(thetas))] for seed in (5, 8, 5)]
+    means, estimates = sample_rows(setup, thetas, 300, rows)
+    assert estimates == [sample_response(setup, thetas, 300, seed=row) for row in rows]
+    np.testing.assert_allclose(means, exact_response(setup, thetas), rtol=0, atol=1e-12)
+    assert sample_rows(setup, thetas, 300, [])[1] == []
+
+
+@pytest.mark.parametrize("noise", [True, False, "0.1", None, [0.1], np.bool_(True)])
+def test_setup_rejects_non_real_noise(noise):
+    with pytest.raises(ValueError, match="noise must be a real number"):
+        build_ghz_setup(2, noise=noise)
+
+
+@pytest.mark.parametrize("noise", [0, 0.25, np.float64(0.5), np.int64(1)])
+def test_setup_accepts_real_noise(noise):
+    assert build_ghz_setup(2, noise=noise).noise == noise
 
 
 def _batching_setups():

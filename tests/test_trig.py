@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -306,3 +307,28 @@ def test_curve_csv_round_trips(tmp_path):
     arr = np.genfromtxt(path, delimiter=",", names=True)
     np.testing.assert_array_equal(arr["theta"], thetas)
     np.testing.assert_array_equal(arr["value"], values)
+
+
+def _csv_writer_bytes(path, thetas, values, header):
+    """A curve file as a ``csv.writer`` loop over repr cells writes it."""
+    values = np.asarray(values, dtype=float).reshape(len(thetas), -1)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for th, row in zip(thetas, values):
+            writer.writerow([repr(float(th))] + [repr(float(v)) for v in row])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_curve_csv_bytes_match_a_csv_writer(tmp_path, columns):
+    rng = np.random.default_rng(4)
+    thetas = rng.uniform(-TWO_PI, TWO_PI, 40)
+    values = rng.normal(size=(40, columns)) * 10.0 ** rng.integers(-300, 300, (40, columns))
+    values[:5, 0] = [np.inf, -np.inf, np.nan, -0.0, 5e-324]
+    header = ("theta",) + tuple(f"c{k}" for k in range(columns))
+    write_curve_csv(tmp_path / "a.csv", thetas, values[:, 0] if columns == 1 else values, header)
+    want = _csv_writer_bytes(tmp_path / "b.csv", thetas, values, header)
+    assert (tmp_path / "a.csv").read_bytes() == want
+    write_curve_csv(tmp_path / "empty.csv", [], [])
+    assert (tmp_path / "empty.csv").read_bytes() == b"theta,value\r\n"

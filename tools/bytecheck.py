@@ -9,11 +9,14 @@ at 1000 shots, whose 25 nodes run in 7 stacks of encoded states,
 squeezing n = 8 exact, whose 57 nodes run in one, squeezing n = 10 exact,
 whose 91 nodes are the largest node set, GHZ n = 1 at 200 shots, a
 degree-1 curve and its error bound, and GHZ n = 3 at ``--degree 7``, an
-oversampled node set), eight ``study`` configs
+oversampled node set), ten ``study`` configs
 (among them a sampled-curve prediction study at n = 6, 12 with 100
 fields, whose estimates run in several blocks and whose cosine-fit grid
-screen spans two, and a prediction study of three repeats, whose trial
-seeds and rows differ per repeat), ``estimate --out`` on one sampled and three exact
+screen spans two, a prediction study of three repeats, whose trial
+seeds and rows differ per repeat, and two sampled noisy studies whose
+repeats share one node simulation: inference on the random ansatz n = 5
+over three repeats and sensitivity on squeezing n = 4 over two),
+``estimate --out`` on one sampled and three exact
 ``infer`` outputs (measured 0.3; 1.0, a flat extremum; 1.5, out of
 range),
 ``sensitivity`` in setup mode (among them squeezing n = 4 at 1000 shots,
@@ -23,15 +26,18 @@ whose error bound takes its curve's degree, 6, and not n) and in
 first round).
 Every output file is then compared byte for byte, except that
 ``runtime_seconds`` in ``summary.json`` and ``out_dir`` in ``config.json``
-are ignored.  Prints one line per differing output or failing command and
-a total; exits 1 when any output differs or any command fails, 0
-otherwise.
+are ignored.  Prints one line per differing output, with the largest
+absolute and relative difference of its numbers, one line per failing
+command and a total; exits 1 when any output differs or any command
+fails, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -67,7 +73,12 @@ STUDIES = [
     ("prediction", dict(kind="ghz", n_values=[3, 5], shots="500", repeats=3,
                         prediction_fields=8)),
     ("sensitivity", dict(kind="ghz", n_values=[3, 5], shots="1000", repeats=2)),
+    ("inference", dict(kind="random", n_values=[5], noise=0.01, shots="1000", repeats=3)),
+    ("sensitivity", dict(kind="squeezing", n_values=[4], noise=0.01, shots="1000", repeats=2)),
 ]
+
+# a JSON or CSV number, or a non-finite float as either writes it
+NUMBER = re.compile(rb"(?<![\w.])-?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|inf|Infinity|nan|NaN)(?![\w.])")
 
 # ignored keys: wall-clock time, and the output path a config names
 VOLATILE = {"summary.json": ("records", "runtime_seconds"), "config.json": (None, "out_dir")}
@@ -133,6 +144,25 @@ def normalized(path: Path) -> bytes:
     return json.dumps(doc, sort_keys=True).encode()
 
 
+def number_gap(a: bytes, b: bytes) -> str:
+    """The largest absolute and relative difference between the numbers of
+    two outputs, paired in order, and whether the text around them differs
+    (a flipped ``true``/``false``, say)."""
+    xs, ys = (NUMBER.findall(data) for data in (a, b))
+    if len(xs) != len(ys):
+        return f"{len(xs)} vs {len(ys)} numbers"
+    worst_abs = worst_rel = 0.0
+    for x, y in zip(xs, ys):
+        x, y = float(x), float(y)
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        gap = abs(x - y)
+        worst_abs = max(worst_abs, gap)
+        worst_rel = max(worst_rel, gap / max(abs(x), abs(y)))
+    text = "" if NUMBER.sub(b"#", a) == NUMBER.sub(b"#", b) else ", text differs"
+    return f"max abs {worst_abs:.3g}, max rel {worst_rel:.3g}{text}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -151,8 +181,11 @@ def main(argv: list[str]) -> int:
         differ = 0
         for rel in files:
             a, b = (w / rel for w in works)
-            if not (a.exists() and b.exists()) or normalized(a) != normalized(b):
-                print(f"differs: {rel}")
+            if not (a.exists() and b.exists()):
+                print(f"differs: {rel} (missing in one tree)")
+                differ += 1
+            elif normalized(a) != normalized(b):
+                print(f"differs: {rel} ({number_gap(normalized(a), normalized(b))})")
                 differ += 1
     failed = any(code for tree_codes in codes for code in tree_codes)
     print(f"{len(files)} outputs compared: {len(files) - differ} byte-identical, {differ} differ")
