@@ -88,17 +88,15 @@ def cmd_sensitivity(args) -> int:
         raise ValueError(f"--lo and --hi must be finite, got {args.lo} and {args.hi}")
     out = Path(args.out)
     if args.poly:
-        from .inference import sensitivity_curve
+        from .inference import sensitivity
         from .trig import write_curve_csv
 
-        poly = _load_poly(args.poly)
-        grid = np.linspace(args.lo, args.hi, args.points)
-        delta_sq, divergent = sensitivity_curve(poly, grid)
+        curve = sensitivity(_load_poly(args.poly), np.linspace(args.lo, args.hi, args.points))
         out.mkdir(parents=True, exist_ok=True)
         write_curve_csv(
             out / "sensitivity.csv",
-            grid,
-            np.column_stack([delta_sq, divergent.astype(float)]),
+            curve.theta,
+            np.column_stack([curve.delta_theta_sq, curve.divergent.astype(float)]),
             header=("theta", "delta_theta_sq", "divergent"),
         )
         dump_json(out / "sensitivity.json", {"points": args.points, "source": "poly"})
@@ -172,17 +170,12 @@ def cmd_train(args) -> int:
         np.asarray(trace.losses),
         header=("step", "loss"),
     )
+    pre, post = trace.pre, trace.post
     write_curve_csv(
         out / "sensitivity_training.csv",
-        trace.thetas,
-        np.column_stack(
-            [
-                trace.pre_delta_sq,
-                trace.post_delta_sq,
-                trace.pre_divergent.astype(float),
-                trace.post_divergent.astype(float),
-            ]
-        ),
+        pre.theta,
+        np.column_stack([pre.delta_theta_sq, post.delta_theta_sq,
+                         pre.divergent.astype(float), post.divergent.astype(float)]),
         header=("theta", "pre_delta_sq", "post_delta_sq", "pre_divergent", "post_divergent"),
     )
     return 0

@@ -29,6 +29,7 @@ import numpy as np
 
 from ._workers import parallel_map
 from .inference import (
+    DEFAULT_SENSITIVITY_RANGES,
     SensitivityErrorReport,
     cosine_fit,
     estimate_parameter,
@@ -199,11 +200,12 @@ def _inference_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_n
         0.0, 2.0 * math.pi, config.test_points
     )
     truth = exact_response(setup, grid) if shots_n is None else exact_poly.evaluate(grid)
+    # every result reads the same node set
+    node_truth = exact_poly.evaluate(results[0].samples.nodes.angles)
 
     def trial(repeat: int):
         res = results[repeat]
         err = np.abs(res.poly.evaluate(grid) - truth)
-        node_truth = exact_poly.evaluate(res.samples.nodes.angles)
         eps_true = float(np.abs(res.samples.values - node_truth).max())
         return dict(n=n, repeat=repeat, median_error=float(np.median(err)),
                     max_error=float(err.max()), epsilon=eps_true,
@@ -226,11 +228,13 @@ def _prediction_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_
     polynomial and via the cosine-fit baseline, over windows theta' +/-
     pi/(10 n); the window width is also the worst possible error.  The
     curves of all repeats come from one node simulation and the measured
-    responses of all repeats' fields from one simulator call."""
+    responses of all repeats' fields from one simulator call.  Exact
+    curves are one shared result, fitted once."""
     window = math.pi / (10.0 * n)
     repeats, count = config.repeats, config.prediction_fields
     curve_shots = None if config.exact_curves else shots_n
     _, results = infer_responses(setup, curve_shots, _trial_seeds(config, n))
+    shared_fit = cosine_fit(results[0].samples) if curve_shots is None else None
     thetas = np.concatenate([
         np.random.default_rng([config.base_seed, n, repeat, 55]).uniform(0.0, 2.0 * math.pi, count)
         for repeat in range(repeats)
@@ -247,7 +251,7 @@ def _prediction_at(config: ExperimentConfig, setup: SensingSetup, n: int, shots_
 
     def trial(repeat: int):
         res = results[repeat]
-        fit = cosine_fit(res.samples)
+        fit = shared_fit or cosine_fit(res.samples)
         domain = (thetas[repeat] - window, thetas[repeat] + window)
         est_inf = estimate_parameter(res.poly, values[repeat], domain)
         est_fit = estimate_parameter(fit, values[repeat], domain)
@@ -306,7 +310,7 @@ STUDIES = {
         "curves_{kind}_{n}.csv", write_plot_csv,
     ),
     "sensitivity": (
-        ("ghz", "squeezing"), _sensitivity_at, "trials_sensitivity_{kind}.csv",
+        tuple(DEFAULT_SENSITIVITY_RANGES), _sensitivity_at, "trials_sensitivity_{kind}.csv",
         "sensitivity_{kind}_{n}.csv", write_sensitivity_csv,
     ),
 }

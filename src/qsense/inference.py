@@ -85,17 +85,18 @@ class EstimationOutcome:
 
 
 @dataclass(frozen=True)
-class SensitivityPoint:
-    """Error-propagation sensitivity at one angle.
+class Sensitivity:
+    """Error-propagation sensitivity at one angle or over a 1-D array of
+    angles, with float or array fields to match.
 
-    ``delta_theta_sq`` is (1 - R^2) / |dR/dtheta|^2; points where the slope
+    ``delta_theta_sq`` is variance / |dR/dtheta|^2; angles where the slope
     falls below SLOPE_FLOOR are flagged divergent and carry infinity."""
 
-    theta: float
-    variance: float
-    slope: float
-    delta_theta_sq: float
-    divergent: bool
+    theta: float | np.ndarray
+    variance: float | np.ndarray
+    slope: float | np.ndarray
+    delta_theta_sq: float | np.ndarray
+    divergent: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -363,62 +364,55 @@ def estimate_parameter(
     return outcomes[0] if scalar else outcomes
 
 
-def sensitivity(source, theta: float) -> SensitivityPoint:
-    """Error-propagation sensitivity (delta theta)^2 = (delta R)^2 / |dR|^2.
+def sensitivity(source, theta) -> Sensitivity:
+    """Error-propagation sensitivity (delta theta)^2 = (delta R)^2 / |dR|^2
+    on one response polynomial.
 
-    Pass a SensingSetup for the exact variant (variance from the simulator
-    when the readout is not a plain Pauli operator, slope from the exact
-    response polynomial) or a TrigPoly for the inferred variant (variance
-    1 - R~(theta)^2, valid for Pauli readouts; clamped at zero when the
-    inferred value strays outside [-1, 1]).
+    ``source`` is a TrigPoly, the inferred variant, or a SensingSetup, the
+    exact variant, read through ``response_polynomial(setup)``.  The
+    variance is 1 - R(theta)^2, clamped at zero where R strays outside
+    [-1, 1], which holds for Pauli readouts; a setup whose readout is not a
+    single Pauli string takes its variance from the simulator
+    (``response_variance``).  ``theta`` is a float, giving float fields, or
+    a 1-D array of finite angles, giving array fields; a float runs as a
+    one-angle array.
     """
-    if isinstance(source, TrigPoly):
-        delta_sq, divergent, variance, slope = (
-            x[0] for x in _sensitivity_grid(source, [theta], _delta_sq)
-        )
-        return SensitivityPoint(
-            float(theta), float(variance), float(slope), float(delta_sq), bool(divergent)
-        )
-    if not isinstance(source, SensingSetup):
-        raise TypeError("source must be a SensingSetup or a TrigPoly")
-    value = exact_response(source, theta)
-    if source.observable.is_single_pauli:
-        variance = max(0.0, 1.0 - value * value)
+    if isinstance(source, SensingSetup):
+        poly = response_polynomial(source)
+    elif isinstance(source, TrigPoly):
+        poly = source
     else:
-        variance = response_variance(source, theta)
-    slope = response_polynomial(source).derivative().evaluate(theta)
-    divergent = abs(slope) < SLOPE_FLOOR
-    delta_sq = math.inf if divergent else variance / slope**2
-    return SensitivityPoint(float(theta), float(variance), float(slope), delta_sq, divergent)
-
-
-def _delta_sq(variance: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    return variance / slope**2
-
-
-def _sensitivity_grid(poly: TrigPoly, thetas, finish) -> tuple[np.ndarray, ...]:
-    """``finish(variance, slope)`` over a grid with the inferred-mode
-    variance 1 - R~^2 (clamped at zero), inf where |slope| < SLOPE_FLOOR,
-    plus that divergence mask, the variance and the slope."""
-    grid = np.asarray(thetas, dtype=float)
-    values = poly.evaluate(grid)
-    slopes = poly.derivative().evaluate(grid)
-    variance = np.clip(1.0 - values**2, 0.0, None)
-    divergent = np.abs(slopes) < SLOPE_FLOOR
-    out = np.full_like(grid, np.inf)
+        raise TypeError("source must be a SensingSetup or a TrigPoly")
+    grid = np.asarray(theta, dtype=float)
+    if grid.ndim > 1:
+        raise ValueError(f"theta must be a float or a 1-D array, got shape {grid.shape}")
+    thetas = grid.reshape(-1)
+    if not np.isfinite(thetas).all():
+        raise ValueError("theta must be finite")
+    slope = poly.derivative().evaluate(thetas)
+    if isinstance(source, SensingSetup) and not source.observable.is_single_pauli:
+        variance = response_variance(source, thetas)
+    else:
+        variance = np.clip(1.0 - poly.evaluate(thetas) ** 2, 0.0, None)
+    divergent = np.abs(slope) < SLOPE_FLOOR
     ok = ~divergent
-    out[ok] = finish(variance[ok], slopes[ok])
-    return out, divergent, variance, slopes
+    delta_sq = np.full_like(thetas, np.inf)
+    delta_sq[ok] = variance[ok] / slope[ok] ** 2
+    if grid.ndim:
+        return Sensitivity(thetas, variance, slope, delta_sq, divergent)
+    return Sensitivity(
+        float(thetas[0]), float(variance[0]), float(slope[0]), float(delta_sq[0]),
+        bool(divergent[0]),
+    )
 
 
-def sensitivity_curve(poly: TrigPoly, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized inferred-mode sensitivity: (delta theta)^2 over a grid,
-    plus the divergence mask (|slope| below SLOPE_FLOOR maps to inf)."""
-    return _sensitivity_grid(poly, thetas, _delta_sq)[:2]
-
-
-def _delta_theta(variance: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    return np.sqrt(variance) / np.abs(slope)
+def _delta_theta(point: Sensitivity) -> np.ndarray:
+    """delta theta = sqrt(variance) / |slope| over an array record, inf
+    where it is divergent."""
+    ok = ~point.divergent
+    out = np.full_like(point.slope, np.inf)
+    out[ok] = np.sqrt(point.variance[ok]) / np.abs(point.slope[ok])
+    return out
 
 
 def sensitivity_error_check(
@@ -454,16 +448,20 @@ def sensitivity_error_check(
     scalar = np.ndim(seed) == 0
     exact_poly, results = infer_responses(setup, shots, [seed] if scalar else seed)
     grid = lo + (np.arange(points) + 0.5) * (hi - lo) / points
-    exact_delta, exact_div, _, exact_slopes = _sensitivity_grid(exact_poly, grid, _delta_theta)
-    min_slope = float(np.abs(exact_slopes).min())
+    exact = sensitivity(exact_poly, grid)
+    exact_delta = _delta_theta(exact)
+    min_slope = float(np.abs(exact.slope).min())
+    # every result reads the same node set
+    node_truth = exact_poly.evaluate(results[0].samples.nodes.angles) if results else None
     reports = []
     for result in results:
-        inf_delta, inf_div, _, _ = _sensitivity_grid(result.poly, grid, _delta_theta)
-        ok = ~(exact_div | inf_div)
+        inferred = sensitivity(result.poly, grid)
+        inf_delta = _delta_theta(inferred)
+        divergent = exact.divergent | inferred.divergent
+        ok = ~divergent
         abs_error = np.full_like(grid, np.nan)
         abs_error[ok] = np.abs(exact_delta[ok] - inf_delta[ok])
 
-        node_truth = exact_poly.evaluate(result.samples.nodes.angles)
         epsilon = float(np.abs(node_truth - result.samples.values).max())
         degree = result.poly.degree
         bound = math.inf if min_slope == 0.0 else sup_norm_bound(epsilon, degree) / min_slope
@@ -486,7 +484,7 @@ def sensitivity_error_check(
             holds=bool(holds),
             median_relative_error=median_rel,
             max_relative_error=worst / denom,
-            divergent_points=int((exact_div | inf_div).sum()),
+            divergent_points=int(divergent.sum()),
         ))
     return reports[0] if scalar else reports
 

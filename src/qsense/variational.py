@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .inference import response_polynomial, sensitivity_curve
+from .inference import Sensitivity, response_polynomial, sensitivity
 from .sim import Observable, PauliString, SensingSetup, build_ghz_setup
 from .sim.channels import Channel, GateOp
 from .trig import TrigPoly
@@ -134,7 +134,8 @@ def mse_loss(measurement: TrainableMeasurement, params) -> float:
 @dataclass(frozen=True)
 class TrainingTrace:
     """Loss history (running best per accepted step) and the sensitivity
-    curves before and after training over the working window."""
+    curves before (``pre``) and after (``post``) training over the working
+    window."""
 
     losses: tuple[float, ...]
     initial_params: np.ndarray
@@ -143,11 +144,8 @@ class TrainingTrace:
     final_loss: float
     epochs_used: int
     restarts_used: int
-    thetas: np.ndarray
-    pre_delta_sq: np.ndarray
-    post_delta_sq: np.ndarray
-    pre_divergent: np.ndarray
-    post_divergent: np.ndarray
+    pre: Sensitivity
+    post: Sensitivity
 
     def to_json_dict(self) -> dict:
         return {
@@ -227,10 +225,6 @@ def train_measurement(
 
     w = math.pi / measurement.n
     grid = np.linspace(-w, w, 203)[1:-1]  # 201 interior points of the window
-    pre_poly = response_polynomial(measurement.setup(x0))
-    post_poly = response_polynomial(measurement.setup(best_x))
-    pre_sq, pre_div = sensitivity_curve(pre_poly, grid)
-    post_sq, post_div = sensitivity_curve(post_poly, grid)
     return TrainingTrace(
         losses=tuple(losses),
         initial_params=x0,
@@ -239,9 +233,6 @@ def train_measurement(
         final_loss=best_val,
         epochs_used=iterations,
         restarts_used=restarts,
-        thetas=grid,
-        pre_delta_sq=pre_sq,
-        post_delta_sq=post_sq,
-        pre_divergent=pre_div,
-        post_divergent=post_div,
+        pre=sensitivity(response_polynomial(measurement.setup(x0)), grid),
+        post=sensitivity(response_polynomial(measurement.setup(best_x)), grid),
     )

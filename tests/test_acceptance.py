@@ -265,7 +265,7 @@ def test_criterion_10_variational_training():
     from qsense.variational import train_measurement
 
     trace = train_measurement(epochs=500, seed=1)
-    finite = trace.post_delta_sq[np.isfinite(trace.post_delta_sq)]
+    finite = trace.post.delta_theta_sq[np.isfinite(trace.post.delta_theta_sq)]
     best = float(finite.min())
     elapsed = time.perf_counter() - start
     heisenberg_note = (

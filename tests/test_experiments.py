@@ -252,14 +252,29 @@ def test_sensitivity_study_squeezing_with_shots(tmp_path):
 
 
 def test_sensitivity_curve_flags_vanishing_gradient():
-    from qsense.inference import response_polynomial, sensitivity_curve
+    from qsense.inference import response_polynomial, sensitivity
     from qsense.sim import build_ghz_setup
 
     poly = response_polynomial(build_ghz_setup(4))
     grid = np.linspace(0.0, 2 * math.pi, 9)  # hits slope zeros of cos(4 theta)
-    delta_sq, divergent = sensitivity_curve(poly, grid)
-    assert divergent.any()
-    assert np.isinf(delta_sq[divergent]).all()
+    curve = sensitivity(poly, grid)
+    assert curve.divergent.any()
+    assert np.isinf(curve.delta_theta_sq[curve.divergent]).all()
+
+
+@pytest.mark.parametrize("fields, fits", [
+    (dict(shots="500", exact_curves=True), 2),
+    (dict(shots="exact"), 2),
+    (dict(shots="500"), 6),  # sampled curves differ per repeat
+])
+def test_prediction_study_fits_each_distinct_curve_once(tmp_path, monkeypatch, fields, fits):
+    calls = []
+    fit = experiments.cosine_fit
+    monkeypatch.setattr(experiments, "cosine_fit", lambda samples: calls.append(samples) or fit(samples))
+    config = ExperimentConfig(kind="ghz", n_values=(3, 4), repeats=3, prediction_fields=4,
+                              out_dir=str(tmp_path), **fields)
+    run_study("prediction", config)
+    assert len(calls) == fits
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from qsense.inference import (
     polylog_shot_schedule,
     response_polynomial,
     sensitivity,
-    sensitivity_curve,
     sensitivity_error_check,
     shot_budget,
     sup_norm_bound,
@@ -229,13 +228,24 @@ def test_sensitivity_type_and_mode_checks():
 
 
 def test_sensitivity_inferred_equals_exact_at_zero_eps():
+    # a Pauli readout's exact variant is read from the exact polynomial
     setup = build_ghz_setup(3)
     poly = response_polynomial(setup)
-    for theta in np.linspace(0.05, math.pi / 3 - 0.05, 9):
-        a = sensitivity(setup, theta)
-        b = sensitivity(poly, theta)
-        if not (a.divergent or b.divergent):
-            assert abs(a.delta_theta_sq - b.delta_theta_sq) < 1e-8
+    grid = np.linspace(0.05, math.pi / 3 - 0.05, 9)
+    for theta in [*grid, grid]:
+        a, b = sensitivity(setup, theta), sensitivity(poly, theta)
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+def test_sensitivity_rejects_angles_that_are_not_a_float_or_1d_array():
+    poly = TrigPoly([1.0], [0.0], 0.0)
+    with pytest.raises(ValueError, match="1-D"):
+        sensitivity(poly, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="1-D"):
+        sensitivity(build_ghz_setup(2), [[0.1]])
+    with pytest.raises(ValueError, match="finite"):
+        sensitivity(poly, [0.1, math.nan])
 
 
 def test_exact_sensitivity_of_non_pauli_readout_uses_simulated_variance():
@@ -300,27 +310,40 @@ def test_sensitivity_error_check_custom_setup_needs_range():
         sensitivity_error_check(build_random_ansatz_setup(3, layers=2, seed=0))
 
 
-def test_sensitivity_point_equals_curve_bit_for_bit():
+def _assert_array_matches_scalar_calls(source, thetas):
+    """An array call's entries against the float calls at its angles: a
+    one-angle array bit for bit, a longer one to round-off (the matrix
+    product in TrigPoly.evaluate rounds by an angle's place in the array)."""
+    curve = sensitivity(source, np.array(thetas))
+    for k, theta in enumerate(thetas):
+        point = sensitivity(source, theta)
+        one = sensitivity(source, np.array([theta]))
+        for field in dataclasses.fields(point):
+            value = getattr(point, field.name)
+            assert type(value) is (bool if field.name == "divergent" else float)
+            assert np.array_equal(getattr(one, field.name), [value]), field.name
+            np.testing.assert_allclose(getattr(curve, field.name)[k], value,
+                                       rtol=1e-12, atol=1e-15, err_msg=field.name)
+
+
+def test_sensitivity_array_matches_scalar_calls():
     rng = np.random.default_rng(41)
     for degree in range(9):
         poly = TrigPoly(rng.normal(size=degree), rng.normal(size=degree), float(rng.normal()))
         thetas = list(rng.uniform(-TWO_PI, TWO_PI, 20))
+        _assert_array_matches_scalar_calls(poly, thetas)
         if degree:
             # extrema of cos(D theta) + c, where the slope is at round-off level
             flat = TrigPoly(np.eye(degree)[-1], np.zeros(degree), poly.c)
-            for theta in [0.0, math.pi / degree] + thetas[:5]:
-                delta_sq, divergent = sensitivity_curve(flat, [theta])
-                point = sensitivity(flat, theta)
-                assert np.array_equal(delta_sq, [point.delta_theta_sq])
-                assert np.array_equal(divergent, [point.divergent])
-            assert sensitivity(flat, 0.0).divergent
-        for theta in thetas:
-            delta_sq, divergent = sensitivity_curve(poly, [theta])
-            point = sensitivity(poly, theta)
-            assert np.array_equal(delta_sq, [point.delta_theta_sq])
-            assert np.array_equal(divergent, [point.divergent])
-    constant = sensitivity(TrigPoly.constant(0.3), 1.0)
-    assert constant.divergent and math.isinf(constant.delta_theta_sq)
+            _assert_array_matches_scalar_calls(flat, [0.0, math.pi / degree] + thetas[:5])
+            assert sensitivity(flat, np.array([0.0, math.pi / degree])).divergent.all()
+    constant = sensitivity(TrigPoly.constant(0.3), np.array([1.0, 2.0]))
+    assert constant.divergent.all() and np.isinf(constant.delta_theta_sq).all()
+    _assert_array_matches_scalar_calls(TrigPoly.constant(0.3), [1.0, 2.0])
+    _assert_array_matches_scalar_calls(build_ghz_setup(3), list(np.linspace(0.02, 0.9, 25)))
+    random_setup = build_setup("random", 3, 0.0, 2, 5)  # readout: the mean of X on each qubit
+    assert not random_setup.observable.is_single_pauli
+    _assert_array_matches_scalar_calls(random_setup, [0.3, 1.1, 2.5])
 
 
 def test_sensitivity_error_check_single_qubit_bound():
@@ -339,17 +362,6 @@ def test_sensitivity_error_check_bound_keyed_on_degree(kind, n, degree):
     report = sensitivity_error_check(build_setup(kind, n, 0.0, 4, 0), shots=1000, seed=1234)
     assert report.epsilon > 0
     assert report.bound_value == sup_norm_bound(report.epsilon, degree) / report.min_slope
-
-
-def test_sensitivity_curve_matches_pointwise():
-    poly = response_polynomial(build_ghz_setup(3))
-    grid = np.linspace(0.02, 0.9, 25)
-    delta_sq, divergent = sensitivity_curve(poly, grid)
-    for i, theta in enumerate(grid):
-        point = sensitivity(poly, theta)
-        assert divergent[i] == point.divergent
-        if not point.divergent:
-            assert abs(delta_sq[i] - point.delta_theta_sq) < 1e-12
 
 
 def test_cosine_fit_recovers_planted_parameters():

@@ -71,7 +71,7 @@ def test_training_reduces_loss_and_reaches_standard_limit():
     trace = train_measurement(epochs=500, seed=1)
     assert trace.final_loss <= trace.initial_loss
     assert all(b <= a + 1e-15 for a, b in zip(trace.losses, trace.losses[1:]))
-    finite = trace.post_delta_sq[np.isfinite(trace.post_delta_sq)]
+    finite = trace.post.delta_theta_sq[np.isfinite(trace.post.delta_theta_sq)]
     assert finite.min() <= 0.25
 
 
@@ -90,7 +90,8 @@ def test_training_validation_and_trace_fields():
     doc = trace.to_json_dict()
     assert doc["initial_loss"] == trace.initial_loss
     assert len(doc["losses"]) == len(trace.losses)
-    assert len(trace.thetas) == len(trace.pre_delta_sq) == len(trace.post_delta_sq)
+    assert np.array_equal(trace.pre.theta, trace.post.theta)
+    assert len(trace.pre.theta) == len(trace.pre.delta_theta_sq) == len(trace.post.divergent)
 
 
 def test_training_restarts_stop_at_the_cap():

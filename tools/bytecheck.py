@@ -9,13 +9,15 @@ at 1000 shots, whose 25 nodes run in 7 stacks of encoded states,
 squeezing n = 8 exact, whose 57 nodes run in one, squeezing n = 10 exact,
 whose 91 nodes are the largest node set, GHZ n = 1 at 200 shots, a
 degree-1 curve and its error bound, and GHZ n = 3 at ``--degree 7``, an
-oversampled node set), ten ``study`` configs
+oversampled node set), eleven ``study`` configs
 (among them a sampled-curve prediction study at n = 6, 12 with 100
 fields, whose estimates run in several blocks and whose cosine-fit grid
 screen spans two, a prediction study of three repeats, whose trial
-seeds and rows differ per repeat, and two sampled noisy studies whose
-repeats share one node simulation: inference on the random ansatz n = 5
-over three repeats and sensitivity on squeezing n = 4 over two),
+seeds and rows differ per repeat, an exact-curve prediction study of
+three repeats, whose repeats share one curve and its cosine fit, and two
+sampled noisy studies whose repeats share one node simulation: inference
+on the random ansatz n = 5 over three repeats and sensitivity on
+squeezing n = 4 over two),
 ``estimate --out`` on one sampled and three exact
 ``infer`` outputs (measured 0.3; 1.0, a flat extremum; 1.5, out of
 range),
@@ -75,6 +77,8 @@ STUDIES = [
     ("sensitivity", dict(kind="ghz", n_values=[3, 5], shots="1000", repeats=2)),
     ("inference", dict(kind="random", n_values=[5], noise=0.01, shots="1000", repeats=3)),
     ("sensitivity", dict(kind="squeezing", n_values=[4], noise=0.01, shots="1000", repeats=2)),
+    ("prediction", dict(kind="ghz", n_values=[3, 4], shots="500", exact_curves=True, repeats=3,
+                        prediction_fields=8)),
 ]
 
 # a JSON or CSV number, or a non-finite float as either writes it
