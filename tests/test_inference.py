@@ -326,7 +326,7 @@ def _assert_array_matches_scalar_calls(source, thetas):
                                        rtol=1e-12, atol=1e-15, err_msg=field.name)
 
 
-def test_sensitivity_array_matches_scalar_calls():
+def test_sensitivity_point_equals_curve_bit_for_bit():
     rng = np.random.default_rng(41)
     for degree in range(9):
         poly = TrigPoly(rng.normal(size=degree), rng.normal(size=degree), float(rng.normal()))
@@ -340,6 +340,9 @@ def test_sensitivity_array_matches_scalar_calls():
     constant = sensitivity(TrigPoly.constant(0.3), np.array([1.0, 2.0]))
     assert constant.divergent.all() and np.isinf(constant.delta_theta_sq).all()
     _assert_array_matches_scalar_calls(TrigPoly.constant(0.3), [1.0, 2.0])
+
+
+def test_sensitivity_curve_matches_pointwise():
     _assert_array_matches_scalar_calls(build_ghz_setup(3), list(np.linspace(0.02, 0.9, 25)))
     random_setup = build_setup("random", 3, 0.0, 2, 5)  # readout: the mean of X on each qubit
     assert not random_setup.observable.is_single_pauli
