@@ -86,6 +86,8 @@ def cmd_sensitivity(args) -> int:
         raise ValueError("give both --lo and --hi, or neither for the default range")
     if args.lo is not None and not np.isfinite([args.lo, args.hi]).all():
         raise ValueError(f"--lo and --hi must be finite, got {args.lo} and {args.hi}")
+    if args.lo is not None and not args.lo < args.hi:
+        raise ValueError(f"--lo must be below --hi, got {args.lo} and {args.hi}")
     out = Path(args.out)
     if args.poly:
         from .inference import sensitivity

@@ -20,6 +20,7 @@ import numpy as np
 from .sim.setups import (
     MAX_STACK_AMPLITUDES,
     SensingSetup,
+    _angles,
     exact_response,
     response_variance,
     sample_rows,
@@ -113,9 +114,6 @@ class CosineFit:
         th = np.asarray(theta, dtype=float)
         out = self.alpha * np.cos(self.beta * th + self.gamma) + self.zeta
         return float(out) if np.isscalar(theta) or th.ndim == 0 else out
-
-    __call__ = evaluate
-    evaluate_each = evaluate  # elementwise, so each value is the scalar call's
 
     def derivative_values(self, theta):
         th = np.asarray(theta, dtype=float)
@@ -354,7 +352,7 @@ def estimate_parameter(
         left[blk] = grid[rows, np.maximum(best - 1, 0)]
         right[blk] = grid[rows, np.minimum(best + 1, _GRID_POINTS - 1)]
 
-    fn = lambda th, live: np.abs(response.evaluate_each(th) - measured[live])
+    fn = lambda th, live: np.abs(response.evaluate(th) - measured[live])
     theta_star = np.where(right > left, _golden_sections(fn, left, right), nearest)
     residual = fn(theta_star, slice(None))
     outcomes = [
@@ -374,8 +372,8 @@ def sensitivity(source, theta) -> Sensitivity:
     [-1, 1], which holds for Pauli readouts; a setup whose readout is not a
     single Pauli string takes its variance from the simulator
     (``response_variance``).  ``theta`` is a float, giving float fields, or
-    a 1-D array of finite angles, giving array fields; a float runs as a
-    one-angle array.
+    a 1-D array of finite angles, giving array fields, each entry equal to
+    the float call at its angle.
     """
     if isinstance(source, SensingSetup):
         poly = response_polynomial(source)
@@ -383,12 +381,7 @@ def sensitivity(source, theta) -> Sensitivity:
         poly = source
     else:
         raise TypeError("source must be a SensingSetup or a TrigPoly")
-    grid = np.asarray(theta, dtype=float)
-    if grid.ndim > 1:
-        raise ValueError(f"theta must be a float or a 1-D array, got shape {grid.shape}")
-    thetas = grid.reshape(-1)
-    if not np.isfinite(thetas).all():
-        raise ValueError("theta must be finite")
+    thetas = _angles(theta)
     slope = poly.derivative().evaluate(thetas)
     if isinstance(source, SensingSetup) and not source.observable.is_single_pauli:
         variance = response_variance(source, thetas)
@@ -398,7 +391,7 @@ def sensitivity(source, theta) -> Sensitivity:
     ok = ~divergent
     delta_sq = np.full_like(thetas, np.inf)
     delta_sq[ok] = variance[ok] / slope[ok] ** 2
-    if grid.ndim:
+    if np.ndim(theta):
         return Sensitivity(thetas, variance, slope, delta_sq, divergent)
     return Sensitivity(
         float(thetas[0]), float(variance[0]), float(slope[0]), float(delta_sq[0]),
@@ -427,9 +420,10 @@ def sensitivity_error_check(
     for the inferred curve's degree D.
 
     The default ranges are (-pi/3n, pi/3n) for the GHZ setup and
-    (pi/3n, pi/n) for the squeezing setup.  ``eps`` is the realized maximum
-    node estimation error; the check carries a 1e-8 additive tolerance so
-    the exact-expectation case (eps = 0) passes up to round-off.  The grid
+    (pi/3n, pi/n) for the squeezing setup; an explicit ``theta_range``
+    needs lo < hi.  ``eps`` is the realized maximum node estimation error;
+    the check carries a 1e-8 additive tolerance so the exact-expectation
+    case (eps = 0) passes up to round-off.  The grid
     uses an even number of interval midpoints, which keeps points of exactly
     vanishing slope (the centre of a symmetric range) off the grid.
 
@@ -445,6 +439,8 @@ def sensitivity_error_check(
         except KeyError:
             raise ValueError("provide theta_range for custom setups") from None
     lo, hi = theta_range
+    if not lo < hi:
+        raise ValueError(f"theta_range must satisfy lo < hi, got ({lo}, {hi})")
     scalar = np.ndim(seed) == 0
     exact_poly, results = infer_responses(setup, shots, [seed] if scalar else seed)
     grid = lo + (np.arange(points) + 0.5) * (hi - lo) / points

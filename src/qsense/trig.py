@@ -75,29 +75,19 @@ class TrigPoly:
         return cls(np.zeros(0), np.zeros(0), c)
 
     def evaluate(self, theta):
-        """Evaluate at a scalar or array of angles (2 pi periodic)."""
-        th = np.asarray(theta, dtype=float)
-        if self.degree == 0 or th.ndim == 0:
-            out = self.evaluate_each(th)
-        else:
-            s = np.arange(1, self.degree + 1)
-            arg = np.multiply.outer(th, s)
-            out = self.c + np.cos(arg) @ self.a + np.sin(arg) @ self.b
-        return float(out) if np.isscalar(theta) or th.ndim == 0 else out
-
-    __call__ = evaluate
-
-    def evaluate_each(self, theta) -> np.ndarray:
-        """Values at an array of angles, each with its own dot product over
-        the D frequencies (``np.vecdot``), so each equals a scalar
-        ``evaluate`` call bit for bit.  ``evaluate`` on an array instead
-        runs one matrix product over all angles, whose sums may round
-        differently."""
+        """Value at a float, as a float, or at every angle of an array, as
+        an array of its shape (2 pi periodic).  Each angle takes its own dot
+        product over the D frequencies (``np.vecdot`` on rows that
+        ``np.multiply.outer`` lays out contiguously), so an array entry
+        equals the float call at its angle bit for bit, whatever the
+        array's length or layout."""
         th = np.asarray(theta, dtype=float)
         if self.degree == 0:  # c + 0.0 would turn -0.0 into 0.0
-            return np.full(th.shape, self.c)
-        arg = np.multiply.outer(th, np.arange(1, self.degree + 1))
-        return self.c + np.vecdot(np.cos(arg), self.a) + np.vecdot(np.sin(arg), self.b)
+            out = np.full(th.shape, self.c)
+        else:
+            arg = np.multiply.outer(th, np.arange(1, self.degree + 1))
+            out = self.c + np.vecdot(np.cos(arg), self.a) + np.vecdot(np.sin(arg), self.b)
+        return float(out) if th.ndim == 0 else out
 
     def derivative(self) -> "TrigPoly":
         """d/dtheta: a'_s = s b_s, b'_s = -s a_s, c' = 0."""
@@ -119,7 +109,7 @@ class TrigPoly:
             raise ValueError("integration bounds must satisfy lo <= hi")
         return self._antiderivative_at(hi) - self._antiderivative_at(lo)
 
-    # -- algebra (closed under +, scalar *, and poly * poly) ----------------
+    # -- the exact product poly * poly ----------------------------------------
 
     def _complex_coeffs(self) -> np.ndarray:
         """Coefficients c_m of sum_m c_m e^{i m theta}, m = -D..D."""
@@ -138,34 +128,9 @@ class TrigPoly:
         b = -2.0 * coeffs[d + 1 :].imag
         return cls(a, b, float(coeffs[d].real))
 
-    def __add__(self, other):
-        if np.isscalar(other):
-            return TrigPoly(self.a, self.b, self.c + float(other))
-        d = max(self.degree, other.degree)
-        a = np.zeros(d)
-        b = np.zeros(d)
-        a[: self.degree] += self.a
-        b[: self.degree] += self.b
-        a[: other.degree] += other.a
-        b[: other.degree] += other.b
-        return TrigPoly(a, b, self.c + other.c)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TrigPoly":
-        return TrigPoly(-self.a, -self.b, -self.c)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TrigPoly) else -float(other))
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            k = float(other)
-            return TrigPoly(k * self.a, k * self.b, k * self.c)
+    def __mul__(self, other: "TrigPoly") -> "TrigPoly":
         product = np.convolve(self._complex_coeffs(), other._complex_coeffs())
         return TrigPoly._from_complex_coeffs(product)
-
-    __rmul__ = __mul__
 
     def to_json_dict(self) -> dict:
         return {

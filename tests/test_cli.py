@@ -232,6 +232,10 @@ def test_sensitivity_poly_mode_needs_range(tmp_path, capsys):
         (["--setup", "ghz"], "--setup"),
         (["--setup", "ghz", "--n", "3", "--lo=nan", "--hi", "0.1"], "finite"),
         (["--poly", "cos.json", "--lo", "0.1", "--hi", "inf"], "finite"),
+        (["--setup", "ghz", "--n", "3", "--lo", "0.5", "--hi", "0.1"], "below --hi"),
+        (["--setup", "ghz", "--n", "3", "--lo", "0.1", "--hi", "0.1"], "below --hi"),
+        (["--poly", "cos.json", "--lo", "0.5", "--hi", "0.1"], "below --hi"),
+        (["--poly", "cos.json", "--lo", "0.1", "--hi", "0.1"], "below --hi"),
     ],
 )
 def test_sensitivity_range_checked_before_out_is_created(tmp_path, capsys, monkeypatch,

@@ -289,6 +289,9 @@ def test_sensitivity_error_check_squeezing_range():
     report = sensitivity_error_check(build_squeezing_setup(4), shots=2000, seed=3)
     assert math.isfinite(report.median_relative_error)
     assert report.divergent_points == 0
+    for empty_or_reversed in [(0.3, 0.3), (0.5, 0.1)]:
+        with pytest.raises(ValueError, match="lo < hi"):
+            sensitivity_error_check(build_squeezing_setup(4), theta_range=empty_or_reversed)
 
 
 @pytest.mark.parametrize("shots", [None, 400])
@@ -311,9 +314,8 @@ def test_sensitivity_error_check_custom_setup_needs_range():
 
 
 def _assert_array_matches_scalar_calls(source, thetas):
-    """An array call's entries against the float calls at its angles: a
-    one-angle array bit for bit, a longer one to round-off (the matrix
-    product in TrigPoly.evaluate rounds by an angle's place in the array)."""
+    """An array call's entries, and a one-angle array's, against the float
+    calls at its angles, bit for bit."""
     curve = sensitivity(source, np.array(thetas))
     for k, theta in enumerate(thetas):
         point = sensitivity(source, theta)
@@ -322,8 +324,7 @@ def _assert_array_matches_scalar_calls(source, thetas):
             value = getattr(point, field.name)
             assert type(value) is (bool if field.name == "divergent" else float)
             assert np.array_equal(getattr(one, field.name), [value]), field.name
-            np.testing.assert_allclose(getattr(curve, field.name)[k], value,
-                                       rtol=1e-12, atol=1e-15, err_msg=field.name)
+            assert np.array_equal(getattr(curve, field.name)[k], value), field.name
 
 
 def test_sensitivity_point_equals_curve_bit_for_bit():
