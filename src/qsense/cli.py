@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ def _load_poly(path: str):
     from .trig import TrigPoly
 
     doc = json.loads(Path(path).read_text())
-    if "poly" in doc:
+    if isinstance(doc, dict) and "poly" in doc:
         doc = doc["poly"]
     return TrigPoly.from_json_dict(doc)
 
@@ -60,11 +59,13 @@ def cmd_infer(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    from .inference import estimate_parameter
+    from .inference import estimate_parameter, is_bijective
 
     poly = _load_poly(args.poly)
     outcome = estimate_parameter(poly, args.measured, (args.lo, args.hi))
-    text = json.dumps(asdict(outcome), indent=2)
+    doc = dict(theta_star=outcome.theta_star, domain=outcome.domain,
+               bijective=is_bijective(poly, *outcome.domain), residual=outcome.residual)
+    text = json.dumps(doc, indent=2)
     print(text)
     if args.out:
         out = Path(args.out)
@@ -147,10 +148,10 @@ def cmd_study(args) -> int:
     from .experiments import ExperimentConfig, run_study
 
     doc = json.loads(Path(args.config).read_text())
+    config = ExperimentConfig.from_json_dict(doc)
     study = args.study or doc.get("study")
     if not study:
         raise ValueError("specify the study via --study or a 'study' key in the config")
-    config = ExperimentConfig.from_json_dict(doc)
     run_study(study, config)
     print(str(Path(config.out_dir) / "summary.json"))
     return 0

@@ -102,6 +102,8 @@ class ExperimentConfig:
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
         """The config a JSON document describes; its one key that is not a
         field, ``study``, is left to the caller."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
         unknown = sorted(set(doc) - set(cls.__dataclass_fields__) - {"study"})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")

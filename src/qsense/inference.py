@@ -31,7 +31,6 @@ SLOPE_FLOOR = 1e-8
 # 4097 nodes, whose (2D+1)**2 duplicate check in NodeSet holds 134 MB
 MAX_DEGREE = 2048
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_SLOPE_POINTS = 512
 _GRID_POINTS = 1024
 _BRACKET_WIDTH = 1e-10
 # float64 values in one block of batched temporaries: 256 KiB, the
@@ -81,7 +80,6 @@ class InferenceResult:
 class EstimationOutcome:
     theta_star: float
     domain: tuple[float, float]
-    bijective: bool
     residual: float
 
 
@@ -113,11 +111,6 @@ class CosineFit:
     def evaluate(self, theta):
         th = np.asarray(theta, dtype=float)
         out = self.alpha * np.cos(self.beta * th + self.gamma) + self.zeta
-        return float(out) if np.isscalar(theta) or th.ndim == 0 else out
-
-    def derivative_values(self, theta):
-        th = np.asarray(theta, dtype=float)
-        out = -self.alpha * self.beta * np.sin(self.beta * th + self.gamma)
         return float(out) if np.isscalar(theta) or th.ndim == 0 else out
 
 
@@ -298,17 +291,15 @@ def estimate_parameter(
     with ``domain = (lo, hi)`` floats, giving one EstimationOutcome, or a
     1-D array of fields with ``lo``/``hi`` arrays of the same length (or
     floats), giving a list of outcomes, each equal to the scalar call's.
-    Bijectivity is checked by sampling the derivative on a 512-point grid
-    (no strict sign change).  The argmin runs a 1024-point dense grid
-    followed by golden-section refinement to a bracket width of 1e-10.
-    The grids run over blocks of fields whose (fields, grid, D)
-    temporaries hold at most 2**15 float64 values (256 KiB); the
-    golden-section brackets of all fields then shrink in lockstep, each
-    evaluated point by point as a scalar call would.  A bracket also stops
-    once it is at most two ulps wide; that can happen before it reaches
-    1e-10 only for |theta| >= 2**18, where a one-ulp bracket is wider than
-    1e-10 and a plain golden-section loop may never end.  A domain whose
-    width hi - lo overflows raises ValueError.
+    Whether the curve identifies theta on the domain is ``is_bijective``'s
+    question; the inversion evaluates no slope.  The argmin runs a
+    1024-point dense grid followed by golden-section refinement to a
+    bracket width of 1e-10.  The grid runs over blocks of fields whose
+    (fields, grid, D) temporaries hold at most 2**15 float64 values
+    (256 KiB); the golden-section brackets of all fields then shrink in
+    lockstep, each evaluated point by point as a scalar call would, and
+    each also stops once it is two ulps wide (see ``_golden_sections``).
+    A domain whose width hi - lo overflows raises ValueError.
     When ``measured`` lies outside the attainable range the
     boundary-closest extremizer is returned with a nonzero residual.
     """
@@ -332,21 +323,12 @@ def estimate_parameter(
         )
 
     # values per grid point in the (fields, grid, D) temporaries
-    if isinstance(response, TrigPoly):
-        slope, terms = response.derivative().evaluate, max(response.degree, 1)
-    else:
-        slope, terms = response.derivative_values, 1
+    terms = max(response.degree, 1) if isinstance(response, TrigPoly) else 1
     count = len(measured)
-    bijective = np.empty(count, dtype=bool)
     left, right, nearest = (np.empty(count) for _ in range(3))
     for blk in _blocks(count, _GRID_POINTS * terms):
-        signs = np.sign(slope(_grids(lo[blk], hi[blk], _SLOPE_POINTS)))
-        rows = np.arange(len(signs))
-        nonzero = signs != 0
-        first = signs[rows, np.argmax(nonzero, axis=-1)]
-        bijective[blk] = np.all((signs == first[:, None]) | ~nonzero, axis=-1)
-
         grid = _grids(lo[blk], hi[blk], _GRID_POINTS)
+        rows = np.arange(len(grid))
         best = np.argmin(np.abs(response.evaluate(grid) - measured[blk, None]), axis=-1)
         nearest[blk] = grid[rows, best]
         left[blk] = grid[rows, np.maximum(best - 1, 0)]
@@ -356,10 +338,18 @@ def estimate_parameter(
     theta_star = np.where(right > left, _golden_sections(fn, left, right), nearest)
     residual = fn(theta_star, slice(None))
     outcomes = [
-        EstimationOutcome(float(t), (float(l), float(h)), bool(bij), float(r))
-        for t, l, h, bij, r in zip(theta_star, lo, hi, bijective, residual)
+        EstimationOutcome(float(t), (float(l), float(h)), float(r))
+        for t, l, h, r in zip(theta_star, lo, hi, residual)
     ]
     return outcomes[0] if scalar else outcomes
+
+
+def is_bijective(poly: TrigPoly, lo: float, hi: float) -> bool:
+    """Whether ``poly`` identifies theta on [lo, hi]: it is not constant and
+    its slope on ``np.linspace(lo, hi, 512)`` never strictly changes sign."""
+    signs = np.sign(poly.derivative().evaluate(np.linspace(lo, hi, 512)))
+    signs = signs[signs != 0]
+    return bool(poly.a.any() or poly.b.any()) and bool(np.all(signs == signs[:1]))
 
 
 def sensitivity(source, theta) -> Sensitivity:

@@ -142,7 +142,16 @@ class TrigPoly:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrigPoly":
-        poly = cls(np.asarray(doc["a"], dtype=float), np.asarray(doc["b"], dtype=float), doc["c"])
+        """The polynomial of a JSON object with flat lists of numbers ``a`` and
+        ``b``, a number ``c`` (no bool) and an optional ``degree``, their length."""
+        if not (isinstance(doc, dict) and {"a", "b", "c"} <= doc.keys()):
+            raise ValueError("a polynomial must be a JSON object with the keys a, b and c")
+        for key in ("a", "b"):
+            if not (isinstance(doc[key], list) and all(type(x) in (int, float) for x in doc[key])):
+                raise ValueError(f"polynomial field {key} must be a flat list of numbers")
+        if type(doc["c"]) not in (int, float):
+            raise ValueError("polynomial field c must be a number")
+        poly = cls(doc["a"], doc["b"], doc["c"])
         if poly.degree != doc.get("degree", poly.degree):
             raise ValueError("degree field inconsistent with coefficient arrays")
         if not (np.isfinite(poly.a).all() and np.isfinite(poly.b).all() and math.isfinite(poly.c)):

@@ -109,6 +109,19 @@ def test_estimate_prints_half_pi(tmp_path, capsys):
     assert doc["bijective"] is True
 
 
+def test_estimate_json_keys_and_constant_curve(tmp_path, capsys):
+    poly_file = tmp_path / "const.json"
+    poly_file.write_text(json.dumps({"a": [], "b": [], "c": 0.3}))
+    out = tmp_path / "e"
+    assert main(["estimate", "--poly", str(poly_file), "--measured", "0.3",
+                 "--lo", "0.0", "--hi", "1.0", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert (out / "estimate.json").read_text() == printed
+    doc = json.loads(printed)
+    assert list(doc) == ["theta_star", "domain", "bijective", "residual"]
+    assert doc["bijective"] is False  # a constant curve identifies no theta
+
+
 def test_estimate_accepts_inference_json(tmp_path, capsys):
     out = tmp_path / "inf"
     main(["infer", "--setup", "ghz", "--n", "2", "--shots", "exact", "--out", str(out)])
@@ -155,15 +168,27 @@ def test_estimate_far_from_zero_returns(tmp_path, capsys):
     assert doc["residual"] < 1e-6
 
 
+_BAD_POLY_DOCS = [
+    ({"a": [math.nan], "b": [0.0], "c": 0.0}, "finite"),
+    ({"a": [1.0], "b": [math.inf], "c": 0.0}, "finite"),
+    ({"a": [1.0], "b": [0.0], "c": -math.inf}, "finite"),
+    ({}, "keys a, b and c"),
+    ({"a": [1.0], "b": [0.0]}, "keys a, b and c"),
+    ([1.0, 0.0, 0.0], "a polynomial must be a JSON object"),
+    ("poly", "a polynomial must be a JSON object"),
+    ({"poly": [1.0]}, "a polynomial must be a JSON object"),
+    ({"a": [[1.0, 2.0]], "b": [[0.0, 1.0]], "c": 0.0}, "field a must be a flat list"),
+    ({"a": [1.0], "b": 0.0, "c": 0.0}, "field b must be a flat list"),
+    ({"a": [True], "b": [0.0], "c": 0.0}, "field a must be a flat list"),
+    ({"a": [1.0], "b": [0.0], "c": True}, "field c must be a number"),
+    ({"a": [1.0], "b": [0.0], "c": "0.5"}, "field c must be a number"),
+]
+
+
 @pytest.mark.parametrize(
-    "doc",
-    [
-        {"a": [math.nan], "b": [0.0], "c": 0.0},
-        {"a": [1.0], "b": [math.inf], "c": 0.0},
-        {"a": [1.0], "b": [0.0], "c": -math.inf},
-    ],
+    "doc, message", _BAD_POLY_DOCS, ids=[f"doc{k}" for k in range(len(_BAD_POLY_DOCS))]
 )
-def test_non_finite_poly_file_is_exit_2_before_any_output(tmp_path, capsys, doc):
+def test_non_finite_poly_file_is_exit_2_before_any_output(tmp_path, capsys, doc, message):
     poly_file = tmp_path / "bad.json"
     poly_file.write_text(json.dumps(doc))
     runs = [
@@ -174,7 +199,7 @@ def test_non_finite_poly_file_is_exit_2_before_any_output(tmp_path, capsys, doc)
         out = tmp_path / f"o{i}"
         assert main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "finite" in captured.err
+        assert captured.out == "" and message in captured.err
         assert not out.exists()
 
 

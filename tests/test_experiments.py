@@ -15,6 +15,7 @@ from qsense.experiments import (
 )
 from qsense.inference import infer_response, infer_responses, polylog_shot_schedule, shot_budget
 from qsense.sim import build_setup, exact_response, setups
+from qsense.trig import TrigPoly
 
 
 def test_resolve_shots_policies():
@@ -86,6 +87,14 @@ def test_config_rejects_unknown_keys_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     del doc["repeates"]
     assert ExperimentConfig.from_json_dict(doc).repeats == 1
+    for not_object in ([doc], "ghz", 2):
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentConfig.from_json_dict(not_object)
+        (tmp_path / "config.json").write_text(json.dumps(not_object))
+        for flags in ([], ["--study", "inference"]):
+            assert main(["study", "--config", str(tmp_path / "config.json"), *flags]) == 2
+            assert "JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -275,6 +284,19 @@ def test_prediction_study_fits_each_distinct_curve_once(tmp_path, monkeypatch, f
                               out_dir=str(tmp_path), **fields)
     run_study("prediction", config)
     assert len(calls) == fits
+
+
+def test_prediction_study_evaluates_no_slope(tmp_path, monkeypatch):
+    calls = []
+    derivative = TrigPoly.derivative
+    monkeypatch.setattr(TrigPoly, "derivative", lambda p: calls.append(p) or derivative(p))
+    TrigPoly([1.0], [0.0], 0.0).derivative()
+    assert len(calls) == 1  # the counter sees a slope
+    for fields in (dict(shots="500", exact_curves=True), dict(shots="500")):
+        config = ExperimentConfig(kind="ghz", n_values=(3, 4), repeats=2, prediction_fields=6,
+                                  out_dir=str(tmp_path), **fields)
+        run_study("prediction", config)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

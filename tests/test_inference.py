@@ -10,6 +10,7 @@ from qsense.inference import (
     cosine_fit,
     estimate_parameter,
     infer_response,
+    is_bijective,
     polylog_shot_schedule,
     response_polynomial,
     sensitivity,
@@ -152,11 +153,9 @@ def test_estimate_parameter_cosine():
     poly = TrigPoly([1.0], [0.0], 0.0)
     out = estimate_parameter(poly, 0.0, (0.0, math.pi))
     assert abs(out.theta_star - math.pi / 2) < 1e-8
-    assert out.bijective
+    assert is_bijective(poly, 0.0, math.pi)
     assert out.residual < 1e-9
-
-    wide = estimate_parameter(poly, 0.0, (0.0, TWO_PI))
-    assert not wide.bijective
+    assert not is_bijective(poly, 0.0, TWO_PI)
 
     with pytest.raises(ValueError):
         estimate_parameter(poly, 0.0, (1.0, 1.0))
@@ -192,11 +191,9 @@ def test_estimate_parameter_exact_inversion_property():
     rng = np.random.default_rng(17)
     checked = 0
     for theta_true in rng.uniform(0, TWO_PI, 40):
-        window = math.pi / 30.0
-        out = estimate_parameter(
-            poly, exact_response(setup, theta_true), (theta_true - window, theta_true + window)
-        )
-        if out.bijective:
+        lo, hi = theta_true - math.pi / 30.0, theta_true + math.pi / 30.0
+        out = estimate_parameter(poly, exact_response(setup, theta_true), (lo, hi))
+        if is_bijective(poly, lo, hi):
             checked += 1
             assert abs(out.theta_star - theta_true) < 1e-7
     assert checked >= 20
@@ -445,9 +442,11 @@ def test_relative_inversion_error_chi_small_with_budget_shots():
 
 # -- batched inversion and the screened cosine-fit grid ------------------------
 #
-# The oracles below are the scalar golden-section inversion and the full
-# lstsq coarse grid as they ran before the estimator took arrays of fields.
-# The batched code must reproduce them bit for bit.
+# The oracles below are the scalar golden-section inversion, the slope-sign
+# scan that decided bijectivity inside it, and the full lstsq coarse grid,
+# as they ran before the estimator took arrays of fields.  The batched code
+# and ``is_bijective`` must reproduce them bit for bit, except that a
+# constant curve is no longer bijective.
 
 
 def _golden_section_oracle(fn, lo, hi, width=1e-10):
@@ -468,15 +467,16 @@ def _golden_section_oracle(fn, lo, hi, width=1e-10):
     return 0.5 * (a + b)
 
 
+def _slope_sign_oracle(poly, lo, hi):
+    if not np.any(np.concatenate([poly.a, poly.b])):
+        return False  # a constant curve identifies no theta
+    signs = np.sign(poly.derivative().evaluate(np.linspace(lo, hi, 512)))
+    nonzero = signs[signs != 0]
+    return bool(len(nonzero) == 0 or np.all(nonzero == nonzero[0]))
+
+
 def _estimate_oracle(response, measured, domain, branches):
     lo, hi = float(domain[0]), float(domain[1])
-    if isinstance(response, TrigPoly):
-        deriv = response.derivative().evaluate(np.linspace(lo, hi, 512))
-    else:
-        deriv = response.derivative_values(np.linspace(lo, hi, 512))
-    signs = np.sign(deriv)
-    nonzero = signs[signs != 0]
-    bijective = bool(len(nonzero) == 0 or np.all(nonzero == nonzero[0]))
     grid = np.linspace(lo, hi, 1024)
     residuals = np.abs(np.asarray(response.evaluate(grid)) - measured)
     best = int(np.argmin(residuals))
@@ -485,7 +485,7 @@ def _estimate_oracle(response, measured, domain, branches):
     fn = lambda th: abs(response.evaluate(th) - measured)
     branches.append(right > left)
     theta_star = _golden_section_oracle(fn, left, right) if right > left else grid[best]
-    return float(theta_star), (lo, hi), bijective, float(fn(theta_star))
+    return float(theta_star), (lo, hi), float(fn(theta_star))
 
 
 def _fields(response, count, rng):
@@ -525,11 +525,14 @@ def _check_batched(response, count, seed):
     branches = []
     want = [_estimate_oracle(response, m, (l, h), branches) for m, l, h in zip(measured, lo, hi)]
     assert len(got) == count
-    for k, name in enumerate(("theta_star", "domain", "bijective", "residual")):
+    for k, name in enumerate(("theta_star", "domain", "residual")):
         assert np.array_equal([getattr(o, name) for o in got], [w[k] for w in want]), name
     for m, l, h, w in zip(measured[:9], lo, hi, want):
         one = estimate_parameter(response, float(m), (float(l), float(h)))
-        assert (one.theta_star, one.domain, one.bijective, one.residual) == w
+        assert (one.theta_star, one.domain, one.residual) == w
+    if isinstance(response, TrigPoly):
+        for l, h in zip(lo.tolist(), hi.tolist()):
+            assert is_bijective(response, l, h) == _slope_sign_oracle(response, l, h), (l, h)
     return branches
 
 
@@ -555,6 +558,21 @@ def test_batched_estimate_matches_scalar_oracle(degree):
 def test_batched_estimate_matches_scalar_oracle_for_cosine_fit():
     fit = CosineFit(0.8, 3.0, 0.4, 0.1, 0.0)
     _check_batched(fit, 75, seed=7)
+
+
+@pytest.mark.parametrize("poly, lo, hi, want", [
+    (TrigPoly([1.0], [0.0], 0.0), 0.5, 2.5, True),  # cos, monotone
+    (TrigPoly([1.0], [0.0], 0.0), 2.5, 4.0, False),  # across the minimum at pi
+    (TrigPoly([0.3, 0.0], [0.0, 0.2], 0.1), -3.0, 3.0, False),
+    (TrigPoly([1.0], [0.0], 0.0), 0.0, 2.0, True),  # flat maximum at the left end
+    (TrigPoly([1.0], [0.0], 0.0), -1.0, 0.0, True),  # and at the right end
+    (TrigPoly([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], 0.0), 0.0, math.pi / 3, True),  # at both
+    (TrigPoly([], [], 0.3), 0.0, 1.0, False),  # constant
+    (TrigPoly([0.0, -0.0], [-0.0, 0.0], 0.3), 0.0, 1.0, False),  # constant, degree 2
+])
+def test_is_bijective(poly, lo, hi, want):
+    assert is_bijective(poly, lo, hi) is want
+    assert _slope_sign_oracle(poly, lo, hi) is want
 
 
 def test_batched_estimate_scalar_domain_broadcasts():

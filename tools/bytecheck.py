@@ -20,7 +20,9 @@ on the random ansatz n = 5 over three repeats and sensitivity on
 squeezing n = 4 over two),
 ``estimate --out`` on one sampled and three exact
 ``infer`` outputs (measured 0.3; 1.0, a flat extremum; 1.5, out of
-range),
+range) and on the squeezing n = 6 exact and random n = 8 sampled curves,
+each in one monotone window and one across an extremum (so ``bijective``
+is read both ways off curves that are not GHZ cosines),
 ``sensitivity`` in setup mode (among them squeezing n = 4 at 1000 shots,
 whose error bound takes its curve's degree, 6, and not n) and in
 ``--poly`` mode, ``train --n 4 --epochs 20`` and ``train --n 5 --epochs
@@ -107,7 +109,11 @@ def commands(work: Path) -> list[list[str]]:
     for poly, measured, lo, hi in [("infer_ghz_10_0.0_exact", "0.3", "0.0", "0.15"),
                                    ("infer_ghz_10_0.0_exact", "1.0", "-0.1", "0.2"),
                                    ("infer_ghz_10_0.0_exact", "1.5", "-0.1", "0.2"),
-                                   ("infer_ghz_7_0.01_1000", "-0.2", "0.1", "0.4")]:
+                                   ("infer_ghz_7_0.01_1000", "-0.2", "0.1", "0.4"),
+                                   ("infer_squeezing_6_0.0_exact", "0.4", "0.3", "1.2"),
+                                   ("infer_squeezing_6_0.0_exact", "-0.9", "2.8", "3.5"),
+                                   ("infer_random_8_0.0_2000", "0.005", "1.6", "2.6"),
+                                   ("infer_random_8_0.0_2000", "-0.035", "0.3", "0.9")]:
         cmds.append(["estimate", "--poly", f"{poly}/inference.json", "--measured", measured,
                      "--lo", lo, "--hi", hi, "--out", f"estimate_{poly}_{measured}"])
     cmds.append(["sensitivity", "--setup", "ghz", "--n", "4", "--shots", "1000",
