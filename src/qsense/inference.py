@@ -346,9 +346,15 @@ def estimate_parameter(
 
 def is_bijective(poly: TrigPoly, lo: float, hi: float) -> bool:
     """Whether ``poly`` identifies theta on [lo, hi]: it is not constant and
-    its slope on ``np.linspace(lo, hi, 512)`` never strictly changes sign."""
-    signs = np.sign(poly.derivative().evaluate(np.linspace(lo, hi, 512)))
-    signs = signs[signs != 0]
+    its slope on ``np.linspace(lo, hi, 512)`` never strictly changes sign.
+
+    A slope with |R'| <= 8 eps * sum_s s (|a_s| + |b_s|) (eps the float64
+    machine epsilon) counts as zero: that is round-off, as at a flat
+    extremum that an end point misses by an ulp."""
+    scale = 8 * np.finfo(float).eps * np.arange(1, poly.degree + 1)
+    floor = np.sum(scale * np.abs(poly.a) + scale * np.abs(poly.b))  # finite for finite a, b
+    slopes = poly.derivative().evaluate(np.linspace(lo, hi, 512))
+    signs = np.sign(slopes[np.abs(slopes) > floor])
     return bool(poly.a.any() or poly.b.any()) and bool(np.all(signs == signs[:1]))
 
 

@@ -151,6 +151,13 @@ class TrigPoly:
                 raise ValueError(f"polynomial field {key} must be a flat list of numbers")
         if type(doc["c"]) not in (int, float):
             raise ValueError("polynomial field c must be a number")
+        for key, values in (("a", doc["a"]), ("b", doc["b"]), ("c", [doc["c"]])):
+            try:
+                np.array(values, dtype=float)
+            except OverflowError:
+                raise ValueError(
+                    f"polynomial field {key} holds an integer beyond the float range"
+                ) from None
         poly = cls(doc["a"], doc["b"], doc["c"])
         if poly.degree != doc.get("degree", poly.degree):
             raise ValueError("degree field inconsistent with coefficient arrays")

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .inference import Sensitivity, response_polynomial, sensitivity
 from .sim import Observable, PauliString, SensingSetup, build_ghz_setup
@@ -159,15 +158,90 @@ class TrainingTrace:
         }
 
 
+def _nelder_mead(f, x0, maxiter: int, callback, initial_simplex=None):
+    """Adaptive Nelder-Mead (Gao and Han, Comput. Optim. Appl. 51, 259
+    (2012)), step for step as scipy 1.17.1's ``minimize(method="Nelder-Mead",
+    options=dict(adaptive=True, xatol=1e-8, fatol=1e-12))``.
+
+    ``initial_simplex`` (N+1 rows) replaces the default simplex: ``x0`` and
+    one vertex per coordinate scaled by 1.05 (0.00025 where it is zero).
+    ``callback(best)`` gets the lowest simplex value after every step.
+    Returns the best vertex, its value and the iteration count, which
+    starts at 1, so ``maxiter=1`` takes no step.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    dim = float(len(x0))
+    rho = 1
+    chi = 1 + 2 / dim
+    psi = 0.75 - 1 / (2 * dim)
+    sigma = 1 - 1 / dim
+    if initial_simplex is None:
+        sim = np.tile(x0, (len(x0) + 1, 1))
+        for k in range(len(x0)):
+            sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    else:
+        sim = np.array(initial_simplex, dtype=float)
+    N = sim.shape[1]
+
+    def func(x: np.ndarray) -> float:
+        return f(np.copy(x))
+
+    fsim = np.array([func(v) for v in sim], dtype=float)
+    for _ in range(2):  # scipy sorts the first simplex twice
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-8  # xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):  # fatol
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = func(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = func(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+        callback(fsim[0])
+    return sim[0], np.min(fsim), iterations
+
+
+minimize = _nelder_mead  # the name perfbench's per-layer trace wraps (variational.optimizer)
+
+
 def train_measurement(
     measurement: TrainableMeasurement | None = None,
     epochs: int = 500,
     seed: int = 0,
 ) -> TrainingTrace:
-    """Minimize the window MSE over the circuit parameters with a
-    Nelder-Mead simplex, restarting (up to ``MAX_RESTARTS`` times) around
-    the incumbent with a fresh simplex whenever the search stalls before
-    the epoch budget is spent.
+    """Minimize the window MSE over the circuit parameters with the
+    adaptive Nelder-Mead simplex of Gao and Han (``_nelder_mead``, step for
+    step as scipy 1.17.1's), restarting (up to ``MAX_RESTARTS`` times)
+    around the incumbent with a fresh simplex whenever the search stalls
+    before the epoch budget is spent.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -191,34 +265,23 @@ def train_measurement(
     iterations = 0
     restarts = 0
     while iterations < epochs:
-        tracker = {"best": best_val}
-
-        def wrapped(p: np.ndarray) -> float:
-            value = objective(p)
-            if value < tracker["best"]:
-                tracker["best"] = value
-            return value
-
-        options = {
-            "maxiter": epochs - iterations,
-            "xatol": 1e-8,
-            "fatol": 1e-12,
-            "adaptive": True,
-        }
+        initial_simplex = None
         if restarts > 0:
             spread = 0.4 * rng.standard_normal((len(best_x) + 1, len(best_x)))
-            options["initial_simplex"] = best_x + spread
-        result = minimize(
-            wrapped,
+            initial_simplex = best_x + spread
+        # every value a step evaluates and drops is no lower than the simplex
+        # minimum, so min(best_val, simplex best) is the running best loss
+        x, fun, nit = _nelder_mead(
+            objective,
             best_x,
-            method="Nelder-Mead",
-            callback=lambda _: losses.append(tracker["best"]),
-            options=options,
+            epochs - iterations,
+            lambda best: losses.append(min(best_val, float(best))),
+            initial_simplex,
         )
-        iterations += int(result.nit)
-        if result.fun < best_val:
-            best_val = float(result.fun)
-            best_x = np.array(result.x)
+        iterations += nit
+        if fun < best_val:
+            best_val = float(fun)
+            best_x = np.array(x)
         if iterations >= epochs or restarts >= MAX_RESTARTS:
             break
         restarts += 1

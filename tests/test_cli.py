@@ -182,6 +182,9 @@ _BAD_POLY_DOCS = [
     ({"a": [True], "b": [0.0], "c": 0.0}, "field a must be a flat list"),
     ({"a": [1.0], "b": [0.0], "c": True}, "field c must be a number"),
     ({"a": [1.0], "b": [0.0], "c": "0.5"}, "field c must be a number"),
+    ({"a": [1.0], "b": [0.0], "c": 10**400}, "field c holds an integer beyond the float range"),
+    ({"a": [1.0, -(10**400)], "b": [0.0, 0.0], "c": 0.0}, "field a holds an integer beyond"),
+    ({"a": [1.0], "b": [10**400], "c": 0.0}, "field b holds an integer beyond"),
 ]
 
 

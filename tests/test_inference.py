@@ -470,8 +470,11 @@ def _golden_section_oracle(fn, lo, hi, width=1e-10):
 def _slope_sign_oracle(poly, lo, hi):
     if not np.any(np.concatenate([poly.a, poly.b])):
         return False  # a constant curve identifies no theta
-    signs = np.sign(poly.derivative().evaluate(np.linspace(lo, hi, 512)))
-    nonzero = signs[signs != 0]
+    # a slope within 8 eps * sum_s s (|a_s| + |b_s|) of zero counts as zero
+    s = np.arange(1, poly.degree + 1)
+    floor = 8 * np.finfo(float).eps * np.sum(s * (np.abs(poly.a) + np.abs(poly.b)))
+    slopes = poly.derivative().evaluate(np.linspace(lo, hi, 512))
+    nonzero = np.sign(slopes[np.abs(slopes) > floor])
     return bool(len(nonzero) == 0 or np.all(nonzero == nonzero[0]))
 
 
@@ -569,6 +572,8 @@ def test_batched_estimate_matches_scalar_oracle_for_cosine_fit():
     (TrigPoly([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], 0.0), 0.0, math.pi / 3, True),  # at both
     (TrigPoly([], [], 0.3), 0.0, 1.0, False),  # constant
     (TrigPoly([0.0, -0.0], [-0.0, 0.0], 0.3), 0.0, 1.0, False),  # constant, degree 2
+    (TrigPoly([1.0], [0.0], 0.0), math.pi, 4.0, True),  # float pi sits just short of the minimum
+    (TrigPoly([1.0], [0.0], 0.0), -4.0, -math.pi, True),  # and at the right end
 ])
 def test_is_bijective(poly, lo, hi, want):
     assert is_bijective(poly, lo, hi) is want

@@ -1,13 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsense
 from qsense.inference import response_polynomial
 from qsense.trig import TrigPoly
 from qsense.variational import (
     MAX_RESTARTS,
     TrainableMeasurement,
+    _nelder_mead,
     mse_loss,
     train_measurement,
     window_mse,
@@ -103,3 +110,98 @@ def test_training_restarts_stop_at_the_cap():
     losses = np.array(trace.losses)
     assert np.all(np.diff(losses) <= 0.0)
     assert losses[0] == trace.initial_loss and losses[-1] == trace.final_loss
+
+
+def _recorded(f, calls, marks):
+    def g(x):
+        calls.append(np.copy(x))
+        return f(x)
+
+    def step(best):
+        marks.append((len(calls), best))
+
+    return g, step
+
+
+def _scipy_nelder_mead(f, x0, maxiter, initial_simplex=None):
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    calls, marks = [], []
+    g, step = _recorded(f, calls, marks)
+    options = dict(maxiter=maxiter, xatol=1e-8, fatol=1e-12, adaptive=True)
+    if initial_simplex is not None:
+        options["initial_simplex"] = initial_simplex
+    res = minimize(g, x0, method="Nelder-Mead", options=options,
+                   callback=lambda intermediate_result: step(intermediate_result.fun))
+    return res.x, res.fun, res.nit, calls, marks
+
+
+def _port_nelder_mead(f, x0, maxiter, initial_simplex=None):
+    calls, marks = [], []
+    g, step = _recorded(f, calls, marks)
+    x, fun, nit = _nelder_mead(g, x0, maxiter, step, initial_simplex)
+    return x, fun, nit, calls, marks
+
+
+def _terraced(x):
+    # flat terraces: tied simplex values, failed contractions and shrink steps
+    return float(np.floor(4.0 * np.sum(x**2)))
+
+
+def _bowl(x):
+    return float((x[0] - 1.0) ** 2 + 2.0 * (x[1] + 0.5) ** 2 + 0.5 * x[0] * x[1])
+
+
+_N2 = TrainableMeasurement.convolutional(2)
+_N4 = TrainableMeasurement.convolutional(4)
+_START = np.random.default_rng(11)
+_X2 = _START.uniform(0.0, 2.0 * math.pi, _N2.parameter_count)
+_X4 = _START.uniform(0.0, 2.0 * math.pi, _N4.parameter_count)
+_SIMPLEX2 = _X2 + 0.4 * _START.standard_normal((len(_X2) + 1, len(_X2)))
+
+
+@pytest.mark.parametrize("f, x0, maxiter, simplex", [
+    (_bowl, np.array([0.0, 2.0]), 400, None),  # stops on the x and f tolerances
+    (_terraced, np.array([1.5, 0.0, -0.7]), 120, None),  # a zero coordinate
+    (_terraced, np.array([1.5, 0.0, -0.7]), 120, _START.normal(size=(4, 3))),
+    (_bowl, np.array([0.5, 0.5]), 1, None),  # iterations start at 1: no step
+    (lambda p: mse_loss(_N2, p), _X2, 150, None),
+    (lambda p: mse_loss(_N2, p), _X2, 150, _SIMPLEX2),
+    (lambda p: mse_loss(_N4, p), _X4, 25, None),
+], ids=["bowl-converges", "terraced", "terraced-simplex", "maxiter-1", "n2", "n2-simplex", "n4"])
+def test_nelder_mead_matches_scipy_step_for_step(f, x0, maxiter, simplex):
+    want = _scipy_nelder_mead(f, x0, maxiter, simplex)
+    got = _port_nelder_mead(f, x0, maxiter, simplex)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1] and got[2] == want[2]
+    assert len(got[3]) == len(want[3])
+    assert all(np.array_equal(a, b) for a, b in zip(got[3], want[3]))
+    assert got[4] == want[4]
+    if maxiter == 1:
+        assert got[2] == 1 and got[4] == [] and len(got[3]) == len(x0) + 1
+
+
+def test_nelder_mead_cases_reach_each_stop_and_branch():
+    _, _, nit, _, _ = _port_nelder_mead(_bowl, np.array([0.0, 2.0]), 400)
+    assert nit < 400  # the tolerance test ended the run
+    _, _, nit, calls, marks = _port_nelder_mead(_terraced, np.array([1.5, 0.0, -0.7]), 120)
+    evals = np.diff([3 + 1] + [m[0] for m in marks])  # evaluations per step
+    assert 2 + 3 in evals  # a shrink step: reflect, contract, then 3 vertices
+
+
+def test_package_imports_no_scipy(tmp_path):
+    script = textwrap.dedent(f"""
+        import importlib, pkgutil, sys
+        import qsense
+        for info in pkgutil.walk_packages(qsense.__path__, "qsense."):
+            importlib.import_module(info.name)
+        from qsense.cli import main
+        code = main(["train", "--n", "2", "--epochs", "2", "--out", {str(tmp_path / "t")!r}])
+        assert code == 0, code
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
+    """)
+    src = str(Path(qsense.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "t" / "trace.json").exists()

@@ -25,9 +25,12 @@ each in one monotone window and one across an extremum (so ``bijective``
 is read both ways off curves that are not GHZ cosines),
 ``sensitivity`` in setup mode (among them squeezing n = 4 at 1000 shots,
 whose error bound takes its curve's degree, 6, and not n) and in
-``--poly`` mode, ``train --n 4 --epochs 20`` and ``train --n 5 --epochs
+``--poly`` mode, ``train --n 4 --epochs 20``, ``train --n 5 --epochs
 10`` (an odd qubit count, so the coarsening keeps one qubit back in its
-first round).
+first round), ``train --n 2 --epochs 1500 --seed 1`` (its fourth stall
+ends the run at the restart cap, so it reaches the restart simplex and
+the convergence break) and ``train --n 2 --epochs 400 --seed 5`` (one
+restart, then the epoch budget runs out).
 Every output file is then compared byte for byte, except that
 ``runtime_seconds`` in ``summary.json`` and ``out_dir`` in ``config.json``
 are ignored.  Prints one line per differing output, with the largest
@@ -126,6 +129,8 @@ def commands(work: Path) -> list[list[str]]:
                  "--lo", "-0.1", "--hi", "0.1", "--points", "101", "--out", "sens_poly"])
     cmds.append(["train", "--n", "4", "--epochs", "20", "--out", "train"])
     cmds.append(["train", "--n", "5", "--epochs", "10", "--out", "train_5"])
+    cmds.append(["train", "--n", "2", "--epochs", "1500", "--seed", "1", "--out", "train_2_cap"])
+    cmds.append(["train", "--n", "2", "--epochs", "400", "--seed", "5", "--out", "train_2_budget"])
     return cmds
 
 
