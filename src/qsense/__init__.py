@@ -18,7 +18,6 @@ from .sim import (
     build_random_ansatz_setup,
     build_squeezing_setup,
     exact_response,
-    response_variance,
     sample_response,
     setup_from_json,
     setup_to_json,

@@ -19,11 +19,27 @@ from .sim.setups import SETUP_KINDS, build_setup
 DEFAULT_SEED = 1234
 
 
-def _load_poly(path: str):
+def _load_poly(path: str, pauli_readout: bool = False):
+    """The polynomial of a ``--poly`` file: an inference.json or a bare
+    {a, b, c} object.  With ``pauli_readout``, an inference.json whose setup
+    reads out anything but a single +/-1-weighted Pauli string is rejected,
+    because only such a readout has the variance 1 - R^2."""
+    from .sim import Observable
     from .trig import TrigPoly
 
     doc = json.loads(Path(path).read_text())
     if isinstance(doc, dict) and "poly" in doc:
+        if pauli_readout and "setup" in doc:
+            try:
+                readout = Observable.from_json_list(doc["setup"]["observable"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"--poly setup.observable is malformed: {exc}") from None
+            if not readout.is_single_pauli:
+                terms = " + ".join(f"{w:g} {p}" for w, p in readout.terms)
+                raise ValueError(
+                    f"--poly readout {terms} is not a single +/-1-weighted Pauli "
+                    "string, so its variance is not 1 - R^2"
+                )
         doc = doc["poly"]
     return TrigPoly.from_json_dict(doc)
 
@@ -94,7 +110,8 @@ def cmd_sensitivity(args) -> int:
         from .inference import sensitivity
         from .trig import write_curve_csv
 
-        curve = sensitivity(_load_poly(args.poly), np.linspace(args.lo, args.hi, args.points))
+        poly = _load_poly(args.poly, pauli_readout=True)
+        curve = sensitivity(poly, np.linspace(args.lo, args.hi, args.points))
         out.mkdir(parents=True, exist_ok=True)
         write_curve_csv(
             out / "sensitivity.csv",
@@ -247,6 +264,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

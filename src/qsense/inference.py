@@ -12,7 +12,7 @@ shots per node the sup-norm error is bounded by ``sup_norm_bound``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -22,13 +22,13 @@ from .sim.setups import (
     SensingSetup,
     _angles,
     exact_response,
-    response_variance,
     sample_rows,
 )
 from .trig import SampleVector, TrigPoly, coeffs_closed_form, equidistant_nodes
 
 SLOPE_FLOOR = 1e-8
-# 4097 nodes, whose (2D+1)**2 duplicate check in NodeSet holds 134 MB
+# 4097 nodes, whose D x (2D+1) cos and sin tables in coeffs_closed_form
+# hold 67 MB each
 MAX_DEGREE = 2048
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 1024
@@ -174,7 +174,7 @@ def infer_responses(
     ``degree`` defaults to the encoding term count, which always suffices;
     a smaller degree raises ValueError, because its nodes would alias the
     response onto a lower-degree curve, and so does one above MAX_DEGREE
-    (2048), whose node set would take too much memory.  ``shots=None``
+    (2048), whose coefficient recovery would take too much memory.  ``shots=None``
     means exact expectations (no sampling): every result is then the exact
     polynomial's.  With shots, each node's measurement-basis probabilities
     are read once: they give the exact polynomial and every seed's draws.
@@ -364,25 +364,25 @@ def sensitivity(source, theta) -> Sensitivity:
 
     ``source`` is a TrigPoly, the inferred variant, or a SensingSetup, the
     exact variant, read through ``response_polynomial(setup)``.  The
-    variance is 1 - R(theta)^2, clamped at zero where R strays outside
-    [-1, 1], which holds for Pauli readouts; a setup whose readout is not a
-    single Pauli string takes its variance from the simulator
-    (``response_variance``).  ``theta`` is a float, giving float fields, or
-    a 1-D array of finite angles, giving array fields, each entry equal to
-    the float call at its angle.
+    variance is M2(theta) - R(theta)^2, clamped at zero.  For a setup with
+    O^2 = c + Q (``Observable.squared``), M2 is c plus the response
+    polynomial of the setup read out by Q, from the same nodes; a bare
+    TrigPoly takes M2 = 1, as a single +/-1 Pauli readout has.  ``theta``
+    is a float, giving float fields, or a 1-D array of finite angles, giving
+    array fields, each entry equal to the float call at its angle.
     """
     if isinstance(source, SensingSetup):
         poly = response_polynomial(source)
+        second, rest = source.observable.squared()
     elif isinstance(source, TrigPoly):
-        poly = source
+        poly, second, rest = source, 1.0, None
     else:
         raise TypeError("source must be a SensingSetup or a TrigPoly")
     thetas = _angles(theta)
     slope = poly.derivative().evaluate(thetas)
-    if isinstance(source, SensingSetup) and not source.observable.is_single_pauli:
-        variance = response_variance(source, thetas)
-    else:
-        variance = np.clip(1.0 - poly.evaluate(thetas) ** 2, 0.0, None)
+    if rest is not None:
+        second = second + response_polynomial(replace(source, observable=rest)).evaluate(thetas)
+    variance = np.clip(second - poly.evaluate(thetas) ** 2, 0.0, None)
     divergent = np.abs(slope) < SLOPE_FLOOR
     ok = ~divergent
     delta_sq = np.full_like(thetas, np.inf)

@@ -16,7 +16,6 @@ from .setups import (
     build_setup,
     build_squeezing_setup,
     exact_response,
-    response_variance,
     sample_response,
     sample_rows,
     setup_from_json,
@@ -42,7 +41,6 @@ __all__ = [
     "build_setup",
     "build_squeezing_setup",
     "exact_response",
-    "response_variance",
     "sample_response",
     "sample_rows",
     "setup_from_json",

@@ -34,6 +34,15 @@ def _sign_diagonal(letters: str) -> np.ndarray:
     return v
 
 
+def _letter_product(a: str, b: str) -> tuple[int, str]:
+    """a * b = i**k * c for single-qubit Pauli letters: (k, c)."""
+    if a == b:
+        return 0, "I"
+    if "I" in (a, b):
+        return 0, (a + b).replace("I", "")
+    return (1 if a + b in "XYZX" else 3), "XYZ".replace(a, "").replace(b, "")
+
+
 class UnsupportedMeasurementError(ValueError):
     """Observable cannot be measured with a single per-qubit basis rotation."""
 
@@ -50,8 +59,10 @@ class PauliString:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        if not self.letters:
-            raise ValueError("PauliString needs at least one qubit")
+        if not isinstance(self.letters, str) or not self.letters:
+            raise ValueError(
+                f"PauliString needs a string of at least one letter, got {self.letters!r}"
+            )
         bad = set(self.letters) - set(PAULI_LETTERS)
         if bad:
             raise ValueError(f"invalid Pauli letters: {sorted(bad)}")
@@ -171,6 +182,34 @@ class Observable:
 
     def matrix(self) -> np.ndarray:
         return sum(w * p.matrix() for w, p in self.terms)
+
+    @classmethod
+    def from_json_list(cls, items) -> "Observable":
+        """The observable of a list of [weight, signed letters] pairs."""
+        return cls(tuple((float(w), PauliString.parse(p)) for w, p in items))
+
+    def squared(self) -> tuple[float, "Observable | None"]:
+        """O^2 = c I + Q as the constant c and the Observable Q of the other
+        Pauli strings (None when none remain).  O^2 = sum_i w_i^2 + sum_{i<j}
+        w_i w_j (P_i P_j + P_j P_i): an anticommuting pair cancels, a commuting
+        pair gives 2 P_i P_j, and products equal to +/-I (repeated strings)
+        join c.  Q's weights add up to at most (sum |w_i|)^2 - sum w_i^2 < 1."""
+        constant = sum(w * w for w, _ in self.terms)
+        weights: dict[str, float] = {}
+        for i, (w, p) in enumerate(self.terms):
+            for v, q in self.terms[i + 1 :]:
+                products = [_letter_product(a, b) for a, b in zip(p.letters, q.letters)]
+                turns = sum(k for k, _ in products)  # the product's phase is i**turns
+                if turns % 2:  # the pair anticommutes
+                    continue
+                weight = 2.0 * w * v * p.sign * q.sign * (-1 if turns % 4 else 1)
+                key = "".join(c for _, c in products)
+                if set(key) == {"I"}:
+                    constant += weight
+                else:
+                    weights[key] = weights.get(key, 0.0) + weight
+        rest = tuple((w, PauliString(key)) for key, w in weights.items() if w != 0.0)
+        return constant, (Observable(rest) if rest else None)
 
 
 @dataclass(frozen=True)

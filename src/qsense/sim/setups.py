@@ -42,13 +42,7 @@ import numpy as np
 
 from .channels import Channel, GateOp
 from .pauli import EncodingHamiltonian, Observable, PauliString
-from .states import (
-    DimensionLimitError,
-    QuantumState,
-    expectation,
-    pauli_rotation,
-    second_moment,
-)
+from .states import DimensionLimitError, QuantumState, expectation, pauli_rotation
 
 DEFAULT_MAX_PURE_QUBITS = 14
 DEFAULT_MAX_DENSITY_QUBITS = 10
@@ -273,16 +267,6 @@ def _read_states(
     return values
 
 
-def _respond(setup: SensingSetup, theta, value) -> float | np.ndarray:
-    """``value(state, observable, density)`` at each angle of ``theta``: a
-    float for a scalar angle, an array for a 1-D array of angles."""
-    obs = setup.observable
-    values = np.array(_read_states(
-        setup, _angles(theta), lambda state, density: value(state, obs, density)
-    ))
-    return float(values[0]) if np.ndim(theta) == 0 else values
-
-
 def exact_response(setup: SensingSetup, theta) -> float | np.ndarray:
     """Exact expectation of the readout observable at encoding angle theta.
 
@@ -292,17 +276,11 @@ def exact_response(setup: SensingSetup, theta) -> float | np.ndarray:
     angle's value is the one a scalar call returns.  NaN or infinite
     angles raise ValueError.
     """
-    return _respond(setup, theta, expectation)
-
-
-def _variance(state: np.ndarray, obs: Observable, density: bool) -> float:
-    return second_moment(state, obs, density) - expectation(state, obs, density) ** 2
-
-
-def response_variance(setup: SensingSetup, theta) -> float | np.ndarray:
-    """Observable variance Tr[rho O^2] - Tr[rho O]^2 at angle theta; a
-    float or a 1-D array of angles, as in ``exact_response``."""
-    return _respond(setup, theta, _variance)
+    obs = setup.observable
+    values = np.array(_read_states(
+        setup, _angles(theta), lambda state, density: expectation(state, obs, density)
+    ))
+    return float(values[0]) if np.ndim(theta) == 0 else values
 
 
 def _measurement_rotation(letters: str) -> Channel:
@@ -414,9 +392,7 @@ def setup_from_json(doc: dict) -> SensingSetup:
             tuple(PauliString.parse(t) for t in doc["hamiltonian"])
         ),
         premeasurement=Channel.from_json_list(doc["premeasurement"]),
-        observable=Observable(
-            tuple((float(w), PauliString.parse(p)) for w, p in doc["observable"])
-        ),
+        observable=Observable.from_json_list(doc["observable"]),
         noise=float(doc.get("noise", 0.0)),
         kind=doc.get("kind", "custom"),
     )

@@ -16,8 +16,8 @@ or ``tensor.ndim - 2n`` axes in, and treat every leading index as its own
 state.  ``pauli_rotation`` then takes one angle per batch entry.  A stack
 gives each state the same values as running it alone (``apply_unitary``
 runs the states of a stack one by one where a joint BLAS product would
-round them differently); the readouts (``expectation``,
-``second_moment``) take one unbatched state.  ``setups`` builds the
+round them differently); the readout (``expectation``) takes one
+unbatched state.  ``setups`` builds the
 stacks and bounds each at ``MAX_STACK_AMPLITUDES`` = 2**14 amplitudes
 (256 KiB), so a stack never outgrows one 7-qubit density tensor.
 """
@@ -201,13 +201,6 @@ def pauli_rotation(
     return out
 
 
-def _apply_observable(tensor: np.ndarray, obs: Observable) -> np.ndarray:
-    out = np.zeros_like(tensor)
-    for w, p in obs.terms:
-        out = out + w * p.sign * apply_pauli_letters(tensor, p.letters)
-    return out
-
-
 def expectation(tensor: np.ndarray, obs: Observable, density: bool) -> float:
     """<O> = Tr[rho O], term by term without building O: vdot(psi, P psi)
     on a statevector, the trace of P rho on a density tensor."""
@@ -218,17 +211,6 @@ def expectation(tensor: np.ndarray, obs: Observable, density: bool) -> float:
         value = np.trace(prod.reshape(dim, dim)) if density else np.vdot(tensor, prod)
         total += w * p.sign * value.real
     return float(total)
-
-
-def second_moment(tensor: np.ndarray, obs: Observable, density: bool) -> float:
-    """Tr[rho O^2], used for observable variances: |O psi|^2 on a
-    statevector, the trace of O O rho on a density tensor."""
-    if density:
-        dim = 2**obs.n_qubits
-        prod = _apply_observable(_apply_observable(tensor, obs), obs)
-        return float(np.trace(prod.reshape(dim, dim)).real)
-    phi = _apply_observable(tensor, obs)
-    return float(np.vdot(phi, phi).real)
 
 
 def depolarize_qubit(rho: np.ndarray, q: int, p: float, n: int) -> np.ndarray:

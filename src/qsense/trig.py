@@ -170,13 +170,35 @@ def _canonical(angles: np.ndarray) -> np.ndarray:
     return np.mod(angles, _TWO_PI)
 
 
-def _gaps(canon: np.ndarray) -> np.ndarray:
-    """Distance modulo 2 pi between every two angles in [0, 2 pi), inf on
-    the diagonal."""
-    gaps = np.abs(canon[:, None] - canon[None, :])
-    np.minimum(gaps, _TWO_PI - gaps, out=gaps)
-    np.fill_diagonal(gaps, np.inf)
-    return gaps
+def _neighbours(canon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The angles' ascending order and, at each place k of it, the distance
+    from angle ``order[k]`` to the next one round the circle (from the
+    largest across 2 pi to the smallest at the last place).  The shorter
+    arc between two angles is covered by the neighbour gaps along it, each
+    at most the pair's distance, so the closest pair are neighbours."""
+    order = np.argsort(canon, kind="stable")
+    ordered = canon[order]
+    return order, np.append(np.diff(ordered), _TWO_PI - (ordered[-1] - ordered[0]))
+
+
+def _coinciding(canon: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """Every pair i < j of angles in [0, 2 pi) closer than ``tol`` modulo
+    2 pi, in order.  Without such a pair the cost is one sort and one
+    comparison; otherwise each pair is found on the arc that starts at a
+    neighbour gap below ``tol`` and measured as min(|a - b|, 2 pi - |a - b|)."""
+    order, gaps = _neighbours(canon)
+    pairs = set()
+    for k in np.flatnonzero(gaps < tol):
+        arc, step = 0.0, 0
+        # twice the tolerance covers the round-off of the summed gaps
+        while step < len(order) - 1 and arc < 2.0 * tol:
+            arc += gaps[(k + step) % len(order)]
+            step += 1
+            i, j = sorted((int(order[k]), int(order[(k + step) % len(order)])))
+            gap = abs(canon[i] - canon[j])
+            if min(gap, _TWO_PI - gap) < tol:
+                pairs.add((i, j))
+    return sorted(pairs)
 
 
 @dataclass(frozen=True)
@@ -191,7 +213,7 @@ class NodeSet:
         if len(raw) < 1 or len(raw) % 2 == 0:
             raise ValueError("a node set holds an odd number (2D+1) of angles")
         canon = _canonical(raw)
-        dupes = [(i, j) for i, j in np.argwhere(_gaps(canon) < DUPLICATE_TOL) if i < j]
+        dupes = _coinciding(canon, DUPLICATE_TOL)
         if dupes:
             detail = "; ".join(
                 f"nodes {i} and {j} coincide modulo 2*pi "
@@ -352,8 +374,9 @@ def solve_lsp(samples: SampleVector) -> tuple[TrigPoly, ConditionReport]:
     log_ratio = log_det - float(log_norms.sum())
     if log_ratio < math.log(1e-12):
         # NodeSet has rejected coinciding nodes, so name the closest pair
-        gaps = _gaps(nodes.angles)
-        i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+        order, gaps = _neighbours(nodes.angles)
+        k = int(np.argmin(gaps))
+        i, j = sorted((int(order[k]), int(order[(k + 1) % len(order)])))
         raise SingularNodeSetError(
             f"|det A| is {math.exp(log_ratio):.3e} of its Hadamard bound, below 1e-12; "
             f"near-duplicate nodes {i} and {j} (theta_{i}={nodes.angles[i]:.12g}, "

@@ -242,6 +242,43 @@ def test_sensitivity_rejects_nonpositive_points(tmp_path, capsys, points):
         assert not out.exists()
 
 
+def test_sensitivity_poly_rejects_a_readout_that_is_not_one_pauli_string(tmp_path, capsys):
+    # the random ansatz reads the mean of X on each qubit, whose variance is not 1 - R^2
+    inf = tmp_path / "r4"
+    assert main(["infer", "--setup", "random", "--n", "4", "--shots", "exact", "--seed", "7",
+                 "--out", str(inf)]) == 0
+    out = tmp_path / "s4"
+    assert main(["sensitivity", "--poly", str(inf / "inference.json"), "--lo", "0.1",
+                 "--hi", "1.0", "--points", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "0.25 XIII + 0.25 IXII + 0.25 IIXI + 0.25 IIIX" in err and "Pauli" in err
+    assert not out.exists()
+    # a single-Pauli readout keeps the 1 - R^2 rule
+    assert main(["infer", "--setup", "ghz", "--n", "3", "--shots", "exact",
+                 "--out", str(tmp_path / "g3")]) == 0
+    assert main(["sensitivity", "--poly", str(tmp_path / "g3" / "inference.json"), "--lo", "0.1",
+                 "--hi", "0.3", "--points", "5", "--out", str(out)]) == 0
+    rows = np.genfromtxt(out / "sensitivity.csv", delimiter=",", names=True)
+    np.testing.assert_allclose(rows["delta_theta_sq"], 1.0 / 9.0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["infer", "--setup", "ghz", "--n", "3", "--shots", "100"],
+        ["sensitivity", "--setup", "ghz", "--n", "3", "--shots", "exact"],
+        ["train", "--n", "2", "--epochs", "2"],
+    ],
+    ids=["infer", "sensitivity", "train"],
+)
+def test_negative_seed_is_exit_2_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--seed" in captured.err
+    assert not out.exists()
+
+
 def test_sensitivity_poly_mode_needs_range(tmp_path, capsys):
     poly_file = tmp_path / "cos.json"
     poly_file.write_text(json.dumps(TrigPoly([1.0], [0.0], 0.0).to_json_dict()))

@@ -23,9 +23,9 @@ from qsense.sim import (
     build_setup,
     build_squeezing_setup,
     exact_response,
-    response_variance,
     sample_response,
 )
+from qsense.sim.setups import _encode, _prepare
 from qsense.trig import NodeSet, SampleVector, TrigPoly, equidistant_nodes
 
 TWO_PI = 2.0 * math.pi
@@ -245,24 +245,76 @@ def test_sensitivity_rejects_angles_that_are_not_a_float_or_1d_array():
         sensitivity(poly, [0.1, math.nan])
 
 
-def test_exact_sensitivity_of_non_pauli_readout_uses_simulated_variance():
+def _dense_variance(setup, thetas):
+    """Oracle: Tr[rho O^2] - Tr[rho O]^2 with the dense matrix of O, per angle."""
+    density = setup.needs_density
+    prepared = _prepare(setup, density)
+    obs = setup.observable.matrix()
+    dim = 2**setup.n
+    out = []
+    for theta in thetas:
+        state = _encode(setup, prepared, np.array([theta]), density)[0]
+        if density:
+            rho = state.reshape(dim, dim)
+            mean, second = np.trace(rho @ obs).real, np.trace(rho @ obs @ obs).real
+        else:
+            psi = state.reshape(-1)
+            mean, second = (psi.conj() @ obs @ psi).real, (psi.conj() @ obs @ obs @ psi).real
+        out.append(second - mean**2)
+    return np.array(out)
+
+
+def test_exact_sensitivity_of_non_pauli_readout_infers_its_variance(monkeypatch):
     setup = build_setup("random", 3, 0.0, 2, 5)  # readout: the mean of X on each qubit
     assert not setup.observable.is_single_pauli
-    slope = response_polynomial(setup).derivative()
-    for theta in (0.3, 1.1):
-        point = sensitivity(setup, theta)
-        assert point.variance == response_variance(setup, theta)
-        assert point.slope == slope.evaluate(theta)
-        assert point.delta_theta_sq == point.variance / point.slope**2
+    constant, rest = setup.observable.squared()
+    second = response_polynomial(dataclasses.replace(setup, observable=rest))
+    poly = response_polynomial(setup)
+    calls = []
+    monkeypatch.setattr(
+        inference, "exact_response", lambda s, th: calls.append(th) or exact_response(s, th)
+    )
+    thetas = np.linspace(0.1, 1.0, 40)
+    curve = sensitivity(setup, thetas)
+    # two node passes, one for O and one for Q, and no simulation per grid angle
+    nodes = equidistant_nodes(setup.encoding_degree).angles
+    assert len(calls) == 2 and all(np.array_equal(th, nodes) for th in calls)
+    expected = np.clip(constant + second.evaluate(thetas) - poly.evaluate(thetas) ** 2, 0.0, None)
+    assert np.array_equal(curve.variance, expected)
+    assert np.abs(curve.variance - _dense_variance(setup, thetas)).max() < 1e-12
+    assert np.array_equal(curve.slope, poly.derivative().evaluate(thetas))
+    assert np.array_equal(curve.delta_theta_sq, curve.variance / curve.slope**2)
 
 
 def test_variance_numerator_cross_check():
     rng = np.random.default_rng(23)
     for setup in (build_ghz_setup(3), build_squeezing_setup(3)):
-        assert setup.observable.is_single_pauli
-        for theta in rng.uniform(0, TWO_PI, 10):
-            r = exact_response(setup, theta)
-            assert abs((1.0 - r * r) - response_variance(setup, theta)) < 1e-9
+        assert setup.observable.squared() == (1.0, None)
+        thetas = rng.uniform(0, TWO_PI, 10)
+        r = response_polynomial(setup).evaluate(thetas)
+        variance = sensitivity(setup, thetas).variance
+        assert np.array_equal(variance, np.clip(1.0 - r * r, 0.0, None))
+        assert np.abs(variance - _dense_variance(setup, thetas)).max() < 1e-9
+
+
+def _variance_setups():
+    from qsense.variational import TrainableMeasurement, train_measurement
+
+    measurement = TrainableMeasurement.convolutional(4)
+    trained = train_measurement(measurement, epochs=20, seed=3).final_params
+    cases = [build_setup(kind, n, noise, 2, 9) for kind, n in (("ghz", 4), ("squeezing", 3),
+             ("random", 4)) for noise in (0.0, 0.02)]
+    return cases + [measurement.setup(trained)]
+
+
+@pytest.mark.parametrize("setup", _variance_setups(), ids=lambda s: f"{s.kind}{s.n}-{s.noise}")
+def test_sensitivity_variance_matches_dense_oracle(setup):
+    thetas = np.random.default_rng(setup.n).uniform(0.0, TWO_PI, 25)
+    variance = sensitivity(setup, thetas).variance
+    assert np.abs(variance - np.clip(_dense_variance(setup, thetas), 0.0, None)).max() < 1e-12
+    if setup.observable.is_single_pauli:
+        r = response_polynomial(setup).evaluate(thetas)
+        assert np.array_equal(variance, np.clip(1.0 - r**2, 0.0, None))
 
 
 def test_sensitivity_error_check_exact_mode():

@@ -50,6 +50,8 @@ def test_invalid_letters_and_sign_rejected():
         PauliString("X", sign=2)
     with pytest.raises(ValueError):
         PauliString("")
+    with pytest.raises(ValueError, match="string"):
+        PauliString.parse(["X", "Z"])  # a JSON list, not letters
 
 
 def test_observable_weight_cap_enforced():
@@ -96,3 +98,45 @@ def test_encoding_requires_commuting_terms():
 def test_encoding_allows_negative_signs():
     ham = EncodingHamiltonian((PauliString("ZI", -1), PauliString("IZ")))
     assert ham.terms[0].sign == -1
+
+
+def _random_observable(rng, n):
+    count = int(rng.integers(1, 7))
+    strings = [random_string(rng, n) for _ in range(count)]
+    if count > 1 and rng.random() < 0.5:  # a repeated string, maybe with the other sign
+        strings[-1] = PauliString(strings[0].letters, int(rng.choice([1, -1])))
+    weights = rng.uniform(-1.0, 1.0, count)
+    weights /= np.abs(weights).sum() * rng.uniform(1.0, 1.5)
+    return Observable(tuple(zip(weights, strings)))
+
+
+def _assert_square(obs):
+    constant, rest = obs.squared()
+    dense = constant * np.eye(2**obs.n_qubits) + (0.0 if rest is None else rest.matrix())
+    assert np.abs(dense - obs.matrix() @ obs.matrix()).max() < 1e-15
+    total = sum(abs(w) for w, _ in obs.terms)
+    cap = total**2 - sum(w * w for w, _ in obs.terms)
+    assert rest is None or sum(abs(w) for w, _ in rest.terms) <= cap + 1e-15
+
+
+def test_squared_matches_dense_square():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        _assert_square(_random_observable(rng, int(rng.integers(1, 5))))
+    # terms that do not commute qubit-wise, and pairs that anticommute
+    _assert_square(Observable(((0.4, PauliString("XZI")), (0.3, PauliString("IYX")),
+                               (0.3, PauliString("ZZZ")))))
+    _assert_square(Observable(((0.5, PauliString("X")), (-0.5, PauliString("Y")))))
+
+
+def test_squared_of_single_pauli_and_repeated_strings():
+    for sign in (1, -1):
+        assert Observable(((1.0, PauliString("XZ", sign)),)).squared() == (1.0, None)
+    assert Observable(((-1.0, PauliString("Y")),)).squared() == (1.0, None)
+    # X and -X: (0.5 X - 0.5 X)^2 = 0, all of it in the constant
+    cancelling = Observable(((0.5, PauliString("X")), (0.5, PauliString("X", -1))))
+    assert cancelling.squared() == (0.0, None)
+    # anticommuting X and Z square to the identity: (X + Z)^2 / 4 = I / 2
+    assert Observable(((0.5, PauliString("X")), (0.5, PauliString("Z")))).squared() == (0.5, None)
+    constant, rest = Observable(((0.5, PauliString("XI")), (0.5, PauliString("IX")))).squared()
+    assert constant == 0.5 and rest.terms == ((0.5, PauliString("XX")),)

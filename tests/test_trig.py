@@ -355,3 +355,13 @@ def test_curve_csv_bytes_match_a_csv_writer(tmp_path, columns):
     assert (tmp_path / "a.csv").read_bytes() == want
     write_curve_csv(tmp_path / "empty.csv", [], [])
     assert (tmp_path / "empty.csv").read_bytes() == b"theta,value\r\n"
+
+
+def test_node_set_names_each_close_pair_of_a_chain_across_zero():
+    # 0 and 2 pi - 6e-10 are 6e-10 apart and 0 and 6e-10 too, but the ends of
+    # the chain are 1.2e-9 apart, beyond the tolerance
+    angles = [TWO_PI - 6e-10, 0.0, 6e-10, 2.0, 4.0]
+    with pytest.raises(SingularNodeSetError) as err:
+        NodeSet(angles)
+    named = re.findall(r"nodes (\d+) and (\d+) coincide", str(err.value))
+    assert named == [("0", "1"), ("1", "2")]
