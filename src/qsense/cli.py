@@ -252,8 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_study)
 
     p = sub.add_parser("train", help="train the coarsening measurement circuit")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--epochs", type=int, default=500)
+    p.add_argument("--n", type=int, default=4, help="qubits of the GHZ probe (>= 2)")
+    p.add_argument("--epochs", type=int, default=500,
+                   help="most one-parameter updates (two simulations each); stops early "
+                        "after a sweep that moves no parameter")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)

@@ -31,6 +31,7 @@ import numpy as np
 _TWO_PI = 2.0 * math.pi
 DUPLICATE_TOL = 1e-9
 EQUIDISTANT_TOL = 1e-12
+CRITICAL_TOL = 1e-6
 
 
 class SingularNodeSetError(ValueError):
@@ -93,6 +94,16 @@ class TrigPoly:
         """d/dtheta: a'_s = s b_s, b'_s = -s a_s, c' = 0."""
         s = np.arange(1, self.degree + 1)
         return TrigPoly(s * self.b, -s * self.a, 0.0)
+
+    def critical_points(self) -> np.ndarray:
+        """The angles in [-pi, pi], ascending, where the slope vanishes: the
+        roots of z^D R'(theta), a degree-2D polynomial in z = e^{i theta}
+        (one ``np.roots`` call), that lie within CRITICAL_TOL of the unit
+        circle.  A double root of R' (a flat inflection) leaves the circle by
+        about sqrt(eps) ~ 1.5e-8 and is kept.  A constant has none."""
+        m = np.arange(-self.degree, self.degree + 1)
+        roots = np.roots((1j * m * self._complex_coeffs())[::-1])
+        return np.sort(np.angle(roots[np.abs(np.abs(roots) - 1.0) <= CRITICAL_TOL]))
 
     def _antiderivative_at(self, theta: float) -> float:
         if self.degree == 0:

@@ -11,6 +11,10 @@ the steepest usable curve R(theta) ~ n * theta on the window
 
 and is evaluated in closed form from the response polynomial; no shot
 noise enters during training.
+
+Training is exact coordinate descent (``minimize``): by the 2D+1 rule at
+D = 1, the loss is a degree-2 trigonometric polynomial in each parameter,
+and an epoch moves one parameter to its closed-form global minimizer.
 """
 
 from __future__ import annotations
@@ -23,10 +27,15 @@ import numpy as np
 from .inference import Sensitivity, response_polynomial, sensitivity
 from .sim import Observable, PauliString, SensingSetup, build_ghz_setup
 from .sim.channels import Channel, GateOp
-from .trig import TrigPoly
+from .trig import SampleVector, TrigPoly, coeffs_closed_form, equidistant_nodes
 
 PARAMS_PER_BLOCK = 6
-MAX_RESTARTS = 3
+# a parameter's shifts that fix the response (D = 1) and the loss (D = 2)
+_SHIFTS = equidistant_nodes(1)
+_LOSS_NODES = equidistant_nodes(2)
+# a parameter moves only when its loss model's minimum lies this far below
+# the current loss; the model agrees with mse_loss to about 1e-15
+MOVE_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -132,9 +141,9 @@ def mse_loss(measurement: TrainableMeasurement, params) -> float:
 
 @dataclass(frozen=True)
 class TrainingTrace:
-    """Loss history (running best per accepted step) and the sensitivity
-    curves before (``pre``) and after (``post``) training over the working
-    window."""
+    """Loss history (the initial loss, then one entry per epoch) and the
+    sensitivity curves before (``pre``) and after (``post``) training over
+    the working window."""
 
     losses: tuple[float, ...]
     initial_params: np.ndarray
@@ -142,7 +151,6 @@ class TrainingTrace:
     initial_loss: float
     final_loss: float
     epochs_used: int
-    restarts_used: int
     pre: Sensitivity
     post: Sensitivity
 
@@ -154,82 +162,61 @@ class TrainingTrace:
             "initial_loss": self.initial_loss,
             "final_loss": self.final_loss,
             "epochs_used": self.epochs_used,
-            "restarts_used": self.restarts_used,
         }
 
 
-def _nelder_mead(f, x0, maxiter: int, callback, initial_simplex=None):
-    """Adaptive Nelder-Mead (Gao and Han, Comput. Optim. Appl. 51, 259
-    (2012)), step for step as scipy 1.17.1's ``minimize(method="Nelder-Mead",
-    options=dict(adaptive=True, xatol=1e-8, fatol=1e-12))``.
+def _finite(value: float, params) -> float:
+    if not math.isfinite(value):
+        raise RuntimeError(f"non-finite loss {value!r} at parameters {np.asarray(params).tolist()}")
+    return value
 
-    ``initial_simplex`` (N+1 rows) replaces the default simplex: ``x0`` and
-    one vertex per coordinate scaled by 1.05 (0.00025 where it is zero).
-    ``callback(best)`` gets the lowest simplex value after every step.
-    Returns the best vertex, its value and the iteration count, which
-    starts at 1, so ``maxiter=1`` takes no step.
+
+def minimize(
+    measurement: TrainableMeasurement, x0, poly: TrigPoly, epochs: int
+) -> tuple[np.ndarray, list[float]]:
+    """Exact coordinate descent on the window MSE from ``x0``, whose response
+    polynomial is ``poly``.  Returns the final parameters and the losses:
+    the initial loss, then one entry per epoch, non-increasing.
+
+    An epoch updates one parameter p, in turn.  By the 2D+1 rule at D = 1,
+    every response coefficient is A + B cos u + C sin u in a shift u of p,
+    fixed by the known curve at u = 0 and two simulated ones at 2 pi/3 and
+    4 pi/3.  The loss, quadratic in the coefficients, is then a degree-2
+    trigonometric polynomial in u, fixed by its values at 2 pi k/5 (the
+    current loss at k = 0).  p moves to that model's global minimizer, the
+    least-valued of u = 0 and its critical points, when the minimum lies
+    more than MOVE_MARGIN below the current loss.  The run stops after a
+    sweep over every parameter that moved none, or after ``epochs`` epochs.
     """
-    x0 = np.asarray(x0, dtype=float)
-    dim = float(len(x0))
-    rho = 1
-    chi = 1 + 2 / dim
-    psi = 0.75 - 1 / (2 * dim)
-    sigma = 1 - 1 / dim
-    if initial_simplex is None:
-        sim = np.tile(x0, (len(x0) + 1, 1))
-        for k in range(len(x0)):
-            sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    else:
-        sim = np.array(initial_simplex, dtype=float)
-    N = sim.shape[1]
-
-    def func(x: np.ndarray) -> float:
-        return f(np.copy(x))
-
-    fsim = np.array([func(v) for v in sim], dtype=float)
-    for _ in range(2):  # scipy sorts the first simplex twice
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-
-    iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-8  # xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):  # fatol
+    n, d = measurement.n, poly.degree
+    params = np.array(x0, dtype=float)
+    losses = [_finite(window_mse(poly, n), params)]
+    idle = 0  # epochs since the last move
+    for epoch in range(epochs):
+        if epoch % len(params) == 0 and idle >= len(params):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = func(xr)
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = func(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = func(xc)
-                accept = fxc <= fxr
-            else:  # inside contraction
-                xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = func(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink towards the best vertex
-                for j in range(1, N + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = func(sim[j])
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-        callback(fsim[0])
-    return sim[0], np.min(fsim), iterations
+        unit = np.eye(len(params))[epoch % len(params)]
+        shifted = [response_polynomial(measurement.setup(params + u * unit))
+                   for u in _SHIFTS.angles[1:]]
+        table = np.array([np.r_[p.a, p.b, p.c] for p in (poly, *shifted)])
 
+        def at(u: float) -> TrigPoly:  # coeffs_closed_form's D = 1 interpolant
+            c = (1.0 + 2.0 * np.cos(u - _SHIFTS.angles)) / 3.0 @ table
+            return TrigPoly(c[:d], c[d : 2 * d], c[2 * d])
 
-minimize = _nelder_mead  # the name perfbench's per-layer trace wraps (variational.optimizer)
+        values = [losses[-1]] + [
+            _finite(window_mse(at(u), n), params + u * unit) for u in _LOSS_NODES.angles[1:]
+        ]
+        model = coeffs_closed_form(SampleVector(_LOSS_NODES, values))
+        shifts = np.append(0.0, model.critical_points())
+        lows = model.evaluate(shifts)
+        k = int(np.argmin(lows))
+        moved = lows[k] < losses[-1] - MOVE_MARGIN
+        if moved:
+            params, poly = params + shifts[k] * unit, at(shifts[k])
+        idle = 0 if moved else idle + 1
+        losses.append(float(lows[k]) if moved else losses[-1])
+    return params, losses
 
 
 def train_measurement(
@@ -237,65 +224,25 @@ def train_measurement(
     epochs: int = 500,
     seed: int = 0,
 ) -> TrainingTrace:
-    """Minimize the window MSE over the circuit parameters with the
-    adaptive Nelder-Mead simplex of Gao and Han (``_nelder_mead``, step for
-    step as scipy 1.17.1's), restarting (up to ``MAX_RESTARTS`` times)
-    around the incumbent with a fresh simplex whenever the search stalls
-    before the epoch budget is spent.
-    """
+    """Minimize the window MSE over the circuit parameters from a uniform
+    random start in [0, 2 pi) by ``minimize``'s exact coordinate descent."""
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if measurement is None:
         measurement = TrainableMeasurement.convolutional(4)
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, 2.0 * math.pi, measurement.parameter_count)
-
-    def objective(p: np.ndarray) -> float:
-        value = mse_loss(measurement, p)
-        if not math.isfinite(value):
-            raise RuntimeError(
-                f"non-finite loss {value!r} at parameters {np.asarray(p).tolist()}"
-            )
-        return value
-
-    initial_loss = objective(x0)
-    best_x = np.array(x0)
-    best_val = initial_loss
-    losses: list[float] = [initial_loss]
-    iterations = 0
-    restarts = 0
-    while iterations < epochs:
-        initial_simplex = None
-        if restarts > 0:
-            spread = 0.4 * rng.standard_normal((len(best_x) + 1, len(best_x)))
-            initial_simplex = best_x + spread
-        # every value a step evaluates and drops is no lower than the simplex
-        # minimum, so min(best_val, simplex best) is the running best loss
-        x, fun, nit = _nelder_mead(
-            objective,
-            best_x,
-            epochs - iterations,
-            lambda best: losses.append(min(best_val, float(best))),
-            initial_simplex,
-        )
-        iterations += nit
-        if fun < best_val:
-            best_val = float(fun)
-            best_x = np.array(x)
-        if iterations >= epochs or restarts >= MAX_RESTARTS:
-            break
-        restarts += 1
-
+    start = response_polynomial(measurement.setup(x0))
+    params, losses = minimize(measurement, x0, start, epochs)
     w = math.pi / measurement.n
     grid = np.linspace(-w, w, 203)[1:-1]  # 201 interior points of the window
     return TrainingTrace(
         losses=tuple(losses),
         initial_params=x0,
-        final_params=best_x,
-        initial_loss=initial_loss,
-        final_loss=best_val,
-        epochs_used=iterations,
-        restarts_used=restarts,
-        pre=sensitivity(response_polynomial(measurement.setup(x0)), grid),
-        post=sensitivity(response_polynomial(measurement.setup(best_x)), grid),
+        final_params=params,
+        initial_loss=losses[0],
+        final_loss=_finite(mse_loss(measurement, params), params),
+        epochs_used=len(losses) - 1,
+        pre=sensitivity(start, grid),
+        post=sensitivity(response_polynomial(measurement.setup(params)), grid),
     )

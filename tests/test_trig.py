@@ -223,6 +223,31 @@ def test_derivative_matches_finite_differences():
         assert abs(deriv.evaluate(theta) - fd) < 1e-6
 
 
+def test_critical_points():
+    def mod(angles):
+        return np.sort(np.mod(np.round(angles, 12), TWO_PI))
+
+    cos2 = TrigPoly([0.0, 1.0], [0.0, 0.0], 0.0)
+    np.testing.assert_allclose(mod(cos2.critical_points()), np.arange(4) * math.pi / 2, atol=1e-12)
+    assert len(TrigPoly.constant(3.0).critical_points()) == 0
+    assert len(TrigPoly([0.0, 0.0], [0.0, 0.0], 1.0).critical_points()) == 0
+    # R' = (cos u - cos 2u)/2 = (1 - cos u)(cos u + 1/2): a flat inflection
+    # at 0 (a double root) and simple roots at +-2 pi/3
+    flat = TrigPoly([0.0, 0.0], [0.5, -0.25], 0.0)
+    found = flat.critical_points()
+    assert np.all(np.abs(flat.derivative().evaluate(found)) <= 1e-12)
+    simple = found[np.abs(found) > 1e-6]
+    np.testing.assert_allclose(simple, [-TWO_PI / 3, TWO_PI / 3], atol=1e-12)
+    assert 1 <= len(found) - len(simple) <= 2 and np.all(np.abs(found) <= np.pi)
+    # a generic curve: one critical point per sign change of the slope
+    rng = np.random.default_rng(21)
+    poly = random_poly(rng, 5)
+    grid = np.linspace(-math.pi, math.pi, 20_001)
+    changes = np.count_nonzero(np.diff(np.sign(poly.derivative().evaluate(grid))))
+    found = poly.critical_points()
+    assert len(found) == changes and np.all(np.abs(poly.derivative().evaluate(found)) <= 1e-12)
+
+
 def test_evaluate_entries_equal_float_calls():
     """Every entry of an array evaluate equals the float call at its angle,
     at any array length and in contiguous, reversed, strided and 2-D

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import qsense
+import qsense.inference
 from qsense.inference import response_polynomial
-from qsense.trig import TrigPoly
+from qsense.trig import SampleVector, TrigPoly, coeffs_closed_form, equidistant_nodes
 from qsense.variational import (
-    MAX_RESTARTS,
     TrainableMeasurement,
-    _nelder_mead,
+    minimize,
     mse_loss,
     train_measurement,
     window_mse,
@@ -101,91 +101,90 @@ def test_training_validation_and_trace_fields():
     assert len(trace.pre.theta) == len(trace.pre.delta_theta_sq) == len(trace.post.divergent)
 
 
-def test_training_restarts_stop_at_the_cap():
-    # seed 1 stalls before 400 epochs, so the restart branch runs; with 1500
-    # epochs the fourth stall (epoch 1364) ends the run at MAX_RESTARTS
-    trace = train_measurement(TrainableMeasurement.convolutional(2), epochs=1500, seed=1)
-    assert trace.restarts_used == MAX_RESTARTS == 3
-    assert trace.epochs_used < 1500
-    losses = np.array(trace.losses)
-    assert np.all(np.diff(losses) <= 0.0)
-    assert losses[0] == trace.initial_loss and losses[-1] == trace.final_loss
+def _shifted(params, j, u):
+    out = np.array(params, dtype=float)
+    out[j] += u
+    return out
 
 
-def _recorded(f, calls, marks):
-    def g(x):
-        calls.append(np.copy(x))
-        return f(x)
-
-    def step(best):
-        marks.append((len(calls), best))
-
-    return g, step
+def _coefficients(poly):
+    return np.concatenate([poly.a, poly.b, [poly.c]])
 
 
-def _scipy_nelder_mead(f, x0, maxiter, initial_simplex=None):
-    minimize = pytest.importorskip("scipy.optimize").minimize
-    calls, marks = [], []
-    g, step = _recorded(f, calls, marks)
-    options = dict(maxiter=maxiter, xatol=1e-8, fatol=1e-12, adaptive=True)
-    if initial_simplex is not None:
-        options["initial_simplex"] = initial_simplex
-    res = minimize(g, x0, method="Nelder-Mead", options=options,
-                   callback=lambda intermediate_result: step(intermediate_result.fun))
-    return res.x, res.fun, res.nit, calls, marks
+def test_response_and_loss_are_degree_one_and_two_in_each_parameter():
+    m = TrainableMeasurement.convolutional(4)
+    rng = np.random.default_rng(5)
+    params = rng.uniform(0, 2 * math.pi, m.parameter_count)
+    three, five = equidistant_nodes(1), equidistant_nodes(2)
+    for j in range(m.parameter_count):
+        table = np.array([
+            _coefficients(response_polynomial(m.setup(_shifted(params, j, u)))) for u in three
+        ])
+        curves = [coeffs_closed_form(SampleVector(three, column)) for column in table.T]
+        model = coeffs_closed_form(
+            SampleVector(five, [mse_loss(m, _shifted(params, j, u)) for u in five])
+        )
+        for u in rng.uniform(-math.pi, math.pi, 5):
+            want = _coefficients(response_polynomial(m.setup(_shifted(params, j, u))))
+            got = [curve.evaluate(u) for curve in curves]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert abs(model.evaluate(u) - mse_loss(m, _shifted(params, j, u))) <= 1e-12
 
 
-def _port_nelder_mead(f, x0, maxiter, initial_simplex=None):
-    calls, marks = [], []
-    g, step = _recorded(f, calls, marks)
-    x, fun, nit = _nelder_mead(g, x0, maxiter, step, initial_simplex)
-    return x, fun, nit, calls, marks
+def test_an_epoch_minimizes_the_loss_over_its_parameter():
+    m = TrainableMeasurement.convolutional(3)
+    x0 = np.random.default_rng(8).uniform(0, 2 * math.pi, m.parameter_count)
+    poly = response_polynomial(m.setup(x0))
+    grid = np.linspace(-math.pi, math.pi, 256, endpoint=False)
+    for j in (0, 4, 7, 11):
+        before, _ = minimize(m, x0, poly, j)
+        after, losses = minimize(m, x0, poly, j + 1)
+        assert np.array_equal(np.delete(after, j), np.delete(before, j))
+        best = min(mse_loss(m, _shifted(before, j, u)) for u in grid)
+        assert mse_loss(m, after) <= best + 1e-12
+        assert abs(losses[-1] - mse_loss(m, after)) <= 1e-12
 
 
-def _terraced(x):
-    # flat terraces: tied simplex values, failed contractions and shrink steps
-    return float(np.floor(4.0 * np.sum(x**2)))
+def test_an_epoch_costs_two_simulations(monkeypatch):
+    m = TrainableMeasurement.convolutional(4)
+    x0 = np.random.default_rng(3).uniform(0, 2 * math.pi, m.parameter_count)
+    poly = response_polynomial(m.setup(x0))
+    calls = []
+    original = qsense.inference.exact_response
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qsense.inference, "exact_response", counted)
+    for epochs in (1, 7):
+        calls.clear()
+        _, losses = minimize(m, x0, poly, epochs)
+        assert len(losses) == epochs + 1 and len(calls) == 2 * epochs
 
 
-def _bowl(x):
-    return float((x[0] - 1.0) ** 2 + 2.0 * (x[1] + 0.5) ** 2 + 0.5 * x[0] * x[1])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_training_converges_to_the_heisenberg_limit(n):
+    m = TrainableMeasurement.convolutional(n)
+    trace = train_measurement(m, epochs=500, seed=1)
+    finite = trace.post.delta_theta_sq[np.isfinite(trace.post.delta_theta_sq)]
+    assert abs(finite.min() * n**2 - 1.0) <= 1e-6
+    assert trace.epochs_used < 500 and trace.epochs_used % m.parameter_count == 0
+    assert len(trace.losses) == trace.epochs_used + 1
+    assert abs(trace.losses[-1] - trace.final_loss) <= 1e-12
 
 
-_N2 = TrainableMeasurement.convolutional(2)
-_N4 = TrainableMeasurement.convolutional(4)
-_START = np.random.default_rng(11)
-_X2 = _START.uniform(0.0, 2.0 * math.pi, _N2.parameter_count)
-_X4 = _START.uniform(0.0, 2.0 * math.pi, _N4.parameter_count)
-_SIMPLEX2 = _X2 + 0.4 * _START.standard_normal((len(_X2) + 1, len(_X2)))
+def test_training_budget_can_end_mid_sweep():
+    m = TrainableMeasurement.convolutional(4)
+    trace = train_measurement(m, epochs=5, seed=2)
+    assert trace.epochs_used == 5 < m.parameter_count
+    assert len(trace.losses) == 6 and trace.final_loss < trace.initial_loss
 
 
-@pytest.mark.parametrize("f, x0, maxiter, simplex", [
-    (_bowl, np.array([0.0, 2.0]), 400, None),  # stops on the x and f tolerances
-    (_terraced, np.array([1.5, 0.0, -0.7]), 120, None),  # a zero coordinate
-    (_terraced, np.array([1.5, 0.0, -0.7]), 120, _START.normal(size=(4, 3))),
-    (_bowl, np.array([0.5, 0.5]), 1, None),  # iterations start at 1: no step
-    (lambda p: mse_loss(_N2, p), _X2, 150, None),
-    (lambda p: mse_loss(_N2, p), _X2, 150, _SIMPLEX2),
-    (lambda p: mse_loss(_N4, p), _X4, 25, None),
-], ids=["bowl-converges", "terraced", "terraced-simplex", "maxiter-1", "n2", "n2-simplex", "n4"])
-def test_nelder_mead_matches_scipy_step_for_step(f, x0, maxiter, simplex):
-    want = _scipy_nelder_mead(f, x0, maxiter, simplex)
-    got = _port_nelder_mead(f, x0, maxiter, simplex)
-    assert np.array_equal(got[0], want[0])
-    assert got[1] == want[1] and got[2] == want[2]
-    assert len(got[3]) == len(want[3])
-    assert all(np.array_equal(a, b) for a, b in zip(got[3], want[3]))
-    assert got[4] == want[4]
-    if maxiter == 1:
-        assert got[2] == 1 and got[4] == [] and len(got[3]) == len(x0) + 1
-
-
-def test_nelder_mead_cases_reach_each_stop_and_branch():
-    _, _, nit, _, _ = _port_nelder_mead(_bowl, np.array([0.0, 2.0]), 400)
-    assert nit < 400  # the tolerance test ended the run
-    _, _, nit, calls, marks = _port_nelder_mead(_terraced, np.array([1.5, 0.0, -0.7]), 120)
-    evals = np.diff([3 + 1] + [m[0] for m in marks])  # evaluations per step
-    assert 2 + 3 in evals  # a shrink step: reflect, contract, then 3 vertices
+def test_non_finite_loss_raises(monkeypatch):
+    monkeypatch.setattr("qsense.variational.window_mse", lambda poly, n: math.nan)
+    with pytest.raises(RuntimeError, match="non-finite loss nan"):
+        train_measurement(TrainableMeasurement.convolutional(2), epochs=3)
 
 
 def test_package_imports_no_scipy(tmp_path):

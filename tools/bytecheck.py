@@ -27,10 +27,10 @@ is read both ways off curves that are not GHZ cosines),
 whose error bound takes its curve's degree, 6, and not n) and in
 ``--poly`` mode, ``train --n 4 --epochs 20``, ``train --n 5 --epochs
 10`` (an odd qubit count, so the coarsening keeps one qubit back in its
-first round), ``train --n 2 --epochs 1500 --seed 1`` (its fourth stall
-ends the run at the restart cap, so it reaches the restart simplex and
-the convergence break) and ``train --n 2 --epochs 400 --seed 5`` (one
-restart, then the epoch budget runs out).
+first round), ``train --n 2 --epochs 1500 --seed 1`` (a sweep that
+moves no parameter ends the run long before the budget) and ``train --n
+2 --epochs 6 --seed 5`` (the budget ends exactly at the end of the first
+sweep over the 6 parameters).
 Every output file is then compared byte for byte, except that
 ``runtime_seconds`` in ``summary.json`` and ``out_dir`` in ``config.json``
 are ignored.  Prints one line per differing output, with the largest
@@ -129,8 +129,8 @@ def commands(work: Path) -> list[list[str]]:
                  "--lo", "-0.1", "--hi", "0.1", "--points", "101", "--out", "sens_poly"])
     cmds.append(["train", "--n", "4", "--epochs", "20", "--out", "train"])
     cmds.append(["train", "--n", "5", "--epochs", "10", "--out", "train_5"])
-    cmds.append(["train", "--n", "2", "--epochs", "1500", "--seed", "1", "--out", "train_2_cap"])
-    cmds.append(["train", "--n", "2", "--epochs", "400", "--seed", "5", "--out", "train_2_budget"])
+    cmds.append(["train", "--n", "2", "--epochs", "1500", "--seed", "1", "--out", "train_2_stop"])
+    cmds.append(["train", "--n", "2", "--epochs", "6", "--seed", "5", "--out", "train_2_budget"])
     return cmds
 
 
