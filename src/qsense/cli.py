@@ -19,6 +19,14 @@ from .sim.setups import SETUP_KINDS, build_setup
 DEFAULT_SEED = 1234
 
 
+def _read_input(flag: str, path: str) -> str:
+    """The text of an input file; an unreadable path is an invalid flag."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {flag} {path}: {exc.strerror or exc}") from None
+
+
 def _load_poly(path: str, pauli_readout: bool = False):
     """The polynomial of a ``--poly`` file: an inference.json or a bare
     {a, b, c} object.  With ``pauli_readout``, an inference.json whose setup
@@ -27,7 +35,7 @@ def _load_poly(path: str, pauli_readout: bool = False):
     from .sim import Observable
     from .trig import TrigPoly
 
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(_read_input("--poly", path))
     if isinstance(doc, dict) and "poly" in doc:
         if pauli_readout and "setup" in doc:
             try:
@@ -164,7 +172,7 @@ def cmd_budget(args) -> int:
 def cmd_study(args) -> int:
     from .experiments import ExperimentConfig, run_study
 
-    doc = json.loads(Path(args.config).read_text())
+    doc = json.loads(_read_input("--config", args.config))
     config = ExperimentConfig.from_json_dict(doc)
     study = args.study or doc.get("study")
     if not study:

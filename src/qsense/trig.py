@@ -105,31 +105,15 @@ class TrigPoly:
         roots = np.roots((1j * m * self._complex_coeffs())[::-1])
         return np.sort(np.angle(roots[np.abs(np.abs(roots) - 1.0) <= CRITICAL_TOL]))
 
-    def _antiderivative_at(self, theta: float) -> float:
-        if self.degree == 0:
-            return self.c * theta
-        s = np.arange(1, self.degree + 1)
-        return float(
-            np.sin(s * theta) @ (self.a / s)
-            - np.cos(s * theta) @ (self.b / s)
-            + self.c * theta
-        )
-
-    def definite_integral(self, lo: float, hi: float) -> float:
-        if lo > hi:
-            raise ValueError("integration bounds must satisfy lo <= hi")
-        return self._antiderivative_at(hi) - self._antiderivative_at(lo)
-
     # -- the exact product poly * poly ----------------------------------------
 
     def _complex_coeffs(self) -> np.ndarray:
         """Coefficients c_m of sum_m c_m e^{i m theta}, m = -D..D."""
         d = self.degree
-        coeffs = np.zeros(2 * d + 1, dtype=complex)
+        coeffs = np.empty(2 * d + 1, dtype=complex)
         coeffs[d] = self.c
-        for s in range(1, d + 1):
-            coeffs[d + s] = 0.5 * (self.a[s - 1] - 1j * self.b[s - 1])
-            coeffs[d - s] = 0.5 * (self.a[s - 1] + 1j * self.b[s - 1])
+        coeffs[d + 1 :] = 0.5 * (self.a - 1j * self.b)
+        coeffs[:d] = (0.5 * (self.a + 1j * self.b))[::-1]
         return coeffs
 
     @classmethod

@@ -9,8 +9,8 @@ the steepest usable curve R(theta) ~ n * theta on the window
 
     L(params) = (n / 2 pi) * integral_{-pi/n}^{pi/n} (R(params; theta)/n - theta)^2 dtheta
 
-and is evaluated in closed form from the response polynomial; no shot
-noise enters during training.
+and is evaluated from the response polynomial by Gauss-Legendre
+quadrature, exact to round-off; no shot noise enters during training.
 
 Training is exact coordinate descent (``minimize``): by the 2D+1 rule at
 D = 1, the loss is a degree-2 trigonometric polynomial in each parameter,
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -34,7 +35,8 @@ PARAMS_PER_BLOCK = 6
 _SHIFTS = equidistant_nodes(1)
 _LOSS_NODES = equidistant_nodes(2)
 # a parameter moves only when its loss model's minimum lies this far below
-# the current loss; the model agrees with mse_loss to about 1e-15
+# the current loss; the model agrees with mse_loss to within 7e-16 (every
+# parameter of random starts at n = 2, 4, 5)
 MOVE_MARGIN = 1e-12
 
 
@@ -103,33 +105,27 @@ class TrainableMeasurement:
         )
 
 
-def _theta_weighted_integral(poly: TrigPoly, lo: float, hi: float) -> float:
-    """integral theta * poly(theta) dtheta on [lo, hi], in closed form."""
+@cache
+def _window_rule(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre angles on (-pi/n, pi/n) and weights for ``window_mse``
+    at degree D; the weights carry the prefactor (n / 2 pi) (pi / n) = 1/2.
 
-    def anti(theta: float) -> float:
-        total = 0.5 * poly.c * theta * theta
-        for s in range(1, poly.degree + 1):
-            a = poly.a[s - 1]
-            b = poly.b[s - 1]
-            total += a * (math.cos(s * theta) / s**2 + theta * math.sin(s * theta) / s)
-            total += b * (math.sin(s * theta) / s**2 - theta * math.cos(s * theta) / s)
-        return total
-
-    return anti(hi) - anti(lo)
+    In x = t n / pi the integrand is a sum of x^k e^{iwx}, k <= 2, with
+    |w| <= 2 pi D / n.  m nodes integrate degree 2m - 1 exactly, so the
+    error is of order (e |w| / 4m)^{2m}; at m = 8 ceil(D/n) + 16 the ratio
+    is below e pi / 16 < 0.54, and 0.18 at D <= n, where the error is about
+    1e-36: the quadrature is exact to round-off."""
+    x, w = np.polynomial.legendre.leggauss(8 * -(-degree // n) + 16)
+    t, weights = (math.pi / n) * x, 0.5 * w
+    t.flags.writeable = weights.flags.writeable = False
+    return t, weights
 
 
 def window_mse(poly: TrigPoly, n: int) -> float:
-    """Closed-form (n / 2 pi) * integral_{-pi/n}^{pi/n} (poly(t)/n - t)^2 dt.
-
-    The square of the polynomial is expanded exactly (product of
-    trigonometric polynomials), the linear cross term integrates in closed
-    form, and the theta^2 term is elementary.
-    """
-    w = math.pi / n
-    quad = (poly * poly).definite_integral(-w, w)
-    cross = _theta_weighted_integral(poly, -w, w)
-    cubic = 2.0 * w**3 / 3.0
-    return float((n / (2.0 * math.pi)) * (quad / n**2 - 2.0 * cross / n + cubic))
+    """(n / 2 pi) * integral_{-pi/n}^{pi/n} (poly(t)/n - t)^2 dt, by
+    Gauss-Legendre quadrature at ``_window_rule``'s nodes."""
+    t, weights = _window_rule(n, poly.degree)
+    return float(weights @ (poly.evaluate(t) / n - t) ** 2)
 
 
 def mse_loss(measurement: TrainableMeasurement, params) -> float:

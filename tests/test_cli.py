@@ -206,6 +206,29 @@ def test_non_finite_poly_file_is_exit_2_before_any_output(tmp_path, capsys, doc,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("missing", ["nonexistent.json", "."], ids=["nonexistent", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--poly", "{}", "--measured", "0.5", "--lo", "0.0", "--hi", "1.0"],
+        ["sensitivity", "--poly", "{}", "--lo", "0.0", "--hi", "1.0"],
+        ["study", "--config", "{}"],
+    ],
+    ids=["estimate", "sensitivity", "study"],
+)
+def test_unreadable_input_file_is_exit_2_before_any_output(tmp_path, capsys, monkeypatch,
+                                                            argv, missing):
+    monkeypatch.chdir(tmp_path)
+    flag = argv[1]
+    argv = [missing if arg == "{}" else arg for arg in argv]
+    if argv[0] != "study":
+        argv += ["--out", "o"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"cannot read {flag} {missing}" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sensitivity_setup_mode(tmp_path):
     out = tmp_path / "s"
     assert main(["sensitivity", "--setup", "ghz", "--n", "3", "--shots", "exact",

@@ -206,11 +206,6 @@ def test_eval_deriv_integral_basics():
     deriv = cos_poly.derivative()
     assert abs(deriv.b[0] + 1.0) < 1e-15  # -sin(theta)
     assert abs(deriv.a[0]) < 1e-15
-    rng = np.random.default_rng(3)
-    poly = random_poly(rng, 4)
-    assert abs(poly.definite_integral(0.0, TWO_PI) - TWO_PI * poly.c) < 1e-10
-    with pytest.raises(ValueError):
-        poly.definite_integral(1.0, 0.0)
 
 
 def test_derivative_matches_finite_differences():

@@ -64,6 +64,29 @@ def test_loss_matches_trapezoid_quadrature():
         assert abs(analytic - quad) < 1e-8
 
 
+def _window_mse_by_antiderivatives(poly, n):
+    """The window MSE in closed form: poly^2 through its complex coefficients
+    g_m (the integral of e^{ikt} on [-w, w] is 2 sin(kw)/k), the odd part of
+    poly against t, and t^2."""
+    w = math.pi / n
+    s = np.arange(1, poly.degree + 1)
+    m = np.arange(-poly.degree, poly.degree + 1)
+    g = np.r_[(0.5 * (poly.a + 1j * poly.b))[::-1], poly.c, 0.5 * (poly.a - 1j * poly.b)]
+    square = (g @ (2 * w * np.sinc(np.add.outer(m, m) * w / math.pi)) @ g).real
+    cross = poly.b @ (2 * (np.sin(s * w) / s**2 - w * np.cos(s * w) / s))
+    return n / (2 * math.pi) * (square / n**2 - 2 * cross / n + 2 * w**3 / 3)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_window_mse_matches_closed_form_at_every_node_count(n):
+    rng = np.random.default_rng(n)
+    for d in (1, n, 2 * n, 4 * n):
+        for _ in range(20):
+            poly = TrigPoly(rng.normal(size=d), rng.normal(size=d), float(rng.normal()))
+            ref = _window_mse_by_antiderivatives(poly, n)
+            assert abs(window_mse(poly, n) - ref) <= 1e-13 * ref
+
+
 def test_setup_uses_measurement_as_premeasurement():
     m = TrainableMeasurement.convolutional(4)
     params = np.zeros(m.parameter_count)
